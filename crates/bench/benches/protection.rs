@@ -1,6 +1,7 @@
 //! Criterion benches of the protection engines themselves and an
 //! end-to-end protected run on a small network — the ablation bench for
-//! the VN-scheme design choice (DESIGN.md §6.1) and MAC granularity (§6.2).
+//! the VN-scheme design choice and MAC granularity (ARCHITECTURE.md,
+//! "`crates/memprot` → §III").
 // The criterion_group! macro expands to undocumented glue functions,
 // which the workspace-level missing_docs deny would otherwise reject.
 #![allow(missing_docs)]
@@ -45,7 +46,8 @@ fn bench_engines(c: &mut Criterion) {
     g.finish();
 }
 
-/// Ablation: MAC granularity sweep (DESIGN.md §6.2). Larger chunks →
+/// Ablation: MAC granularity sweep (ARCHITECTURE.md, "`crates/memprot` →
+/// §III"). Larger chunks →
 /// fewer MAC lines touched per byte.
 fn bench_mac_granularity(c: &mut Criterion) {
     let blocks = 65_536u64;

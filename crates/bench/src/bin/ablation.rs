@@ -1,4 +1,5 @@
-//! Ablation studies for the design choices called out in DESIGN.md §6:
+//! Ablation studies for the design choices called out in ARCHITECTURE.md,
+//! "`crates/memprot` → §III":
 //!
 //! 1. BP's sensitivity to its on-chip metadata cache size (GuardNN has no
 //!    such cache to size — its VNs are a handful of registers).

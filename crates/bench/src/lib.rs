@@ -1,7 +1,8 @@
 //! Shared helpers for the GuardNN benchmark harness.
 //!
 //! Each binary in `src/bin/` regenerates one table or figure of the paper
-//! (see DESIGN.md §3 for the index); this library provides the common
+//! (see ARCHITECTURE.md, "`crates/bench` → the paper's tables and
+//! figures", for the index); this library provides the common
 //! report formatting so every binary prints aligned, diff-friendly tables.
 
 #![deny(missing_docs)]

@@ -109,15 +109,17 @@ impl GuardNnDevice {
     }
 
     /// Public layout query (addresses are not confidential): base address
-    /// of feature edge `edge` for the loaded model.
+    /// of feature edge `edge` (0 = input, `layers` = output) for the
+    /// loaded model.
     ///
     /// # Errors
     ///
     /// [`GuardNnError::NoSession`] / [`GuardNnError::InvalidState`] if no
-    /// model is loaded.
+    /// model is loaded; [`GuardNnError::BadLayerIndex`] past the last edge.
     pub fn feature_region(&self, edge: usize) -> Result<u64, GuardNnError> {
-        let mem = self.memory_ref()?;
-        Ok(mem.feature_region(edge))
+        self.memory_ref()?
+            .feature_region(edge)
+            .ok_or(GuardNnError::BadLayerIndex { layer: edge })
     }
 
     /// Public layout query: base address of layer `layer`'s weight region.
@@ -125,9 +127,12 @@ impl GuardNnDevice {
     /// # Errors
     ///
     /// [`GuardNnError::NoSession`] / [`GuardNnError::InvalidState`] if no
-    /// model is loaded.
+    /// model is loaded; [`GuardNnError::BadLayerIndex`] past the last
+    /// layer.
     pub fn weight_region(&self, layer: usize) -> Result<u64, GuardNnError> {
-        Ok(self.memory_ref()?.weight_region(layer))
+        self.memory_ref()?
+            .weight_region(layer)
+            .ok_or(GuardNnError::BadLayerIndex { layer })
     }
 
     /// Public layout query: base address of gradient edge `edge`.
@@ -135,9 +140,11 @@ impl GuardNnDevice {
     /// # Errors
     ///
     /// [`GuardNnError::NoSession`] / [`GuardNnError::InvalidState`] if no
-    /// model is loaded.
+    /// model is loaded; [`GuardNnError::BadLayerIndex`] past the last edge.
     pub fn grad_region(&self, edge: usize) -> Result<u64, GuardNnError> {
-        Ok(self.memory_ref()?.grad_region(edge))
+        self.memory_ref()?
+            .grad_region(edge)
+            .ok_or(GuardNnError::BadLayerIndex { layer: edge })
     }
 
     /// Public layout query: base address of layer `layer`'s weight-gradient
@@ -146,9 +153,12 @@ impl GuardNnDevice {
     /// # Errors
     ///
     /// [`GuardNnError::NoSession`] / [`GuardNnError::InvalidState`] if no
-    /// model is loaded.
+    /// model is loaded; [`GuardNnError::BadLayerIndex`] past the last
+    /// layer.
     pub fn wgrad_region(&self, layer: usize) -> Result<u64, GuardNnError> {
-        Ok(self.memory_ref()?.wgrad_region(layer))
+        self.memory_ref()?
+            .wgrad_region(layer)
+            .ok_or(GuardNnError::BadLayerIndex { layer })
     }
 
     /// Physical-attack surface: the protected DRAM. A real adversary can
@@ -713,6 +723,28 @@ mod training_tests {
     }
 
     #[test]
+    fn layout_queries_reject_out_of_range_indices() {
+        let (device, _user) = session_with_model();
+        // tiny_mlp: 2 layers, edges 0..=2; `layers + 1` is past both.
+        let past = crate::testnet::tiny_mlp().layers().len() + 1;
+        type Query = fn(&GuardNnDevice, usize) -> Result<u64, GuardNnError>;
+        let rows: [(&str, Query); 4] = [
+            ("feature_region", GuardNnDevice::feature_region),
+            ("grad_region", GuardNnDevice::grad_region),
+            ("weight_region", GuardNnDevice::weight_region),
+            ("wgrad_region", GuardNnDevice::wgrad_region),
+        ];
+        for (name, query) in rows {
+            assert!(query(&device, 0).is_ok(), "{name}(0)");
+            assert_eq!(
+                query(&device, past),
+                Err(GuardNnError::BadLayerIndex { layer: past }),
+                "{name}({past})"
+            );
+        }
+    }
+
+    #[test]
     fn init_session_requires_valid_group_element() {
         let (mut device, _) = GuardNnDevice::provision(33, 73);
         for bad in [BigUint::zero(), BigUint::one()] {
@@ -791,7 +823,7 @@ mod training_tests {
         // CTR_F,W (with_raw clears the read table, so re-declare edge 0).
         let (ctr_in, _, ctr_w) = mem.counters().raw();
         *mem.counters_mut() = VersionCounters::with_raw(ctr_in, u32::MAX, ctr_w);
-        let base = mem.feature_region(0);
+        let base = mem.feature_region(0).expect("edge 0");
         mem.counters_mut()
             .set_read_ctr(base, base + 4096, (ctr_in as u64) << 32);
         assert_eq!(

@@ -1,40 +1,59 @@
-//! The untrusted host scheduler.
+//! Host-side version-number reconstruction rules.
 //!
-//! The host owns the data-flow graph and drives the device with
-//! instructions — but it is *outside* the trust boundary. [`UntrustedHost`]
-//! implements the honest scheduler (including the `CTR_F,R` bookkeeping the
-//! paper offloads to the host), and a set of malicious variants used by the
-//! security tests: wrong read counters, reordered layers, and attempts to
-//! exfiltrate data. None of them can break confidentiality.
+//! The host sits outside the trust boundary and merely schedules
+//! instructions; the one scheduler in this crate is
+//! [`crate::server::DeviceServer`], which serves one user or many. What
+//! the host must still *know* is how the device numbers its feature
+//! writes, because GuardNN offloads the `CTR_F,R` bookkeeping to it
+//! ("the host CPU can easily reconstruct the VN", §II-D). This module
+//! holds exactly those public rules: the [`HostCounterMirror`] that
+//! replays the device's `CTR_IN`/`CTR_F,W` bumps from the instruction
+//! stream, and the [`region_extent`] / [`edge_extent`] padding rules a
+//! `SetReadCTR` range must follow. None of it is secret: a host that
+//! gets it wrong only garbles (or, with integrity, faults) its own
+//! session.
 //!
-//! # Example: the honest host runs one private inference
+//! # Example: the mirror predicts the VNs of an honest inference
 //!
 //! ```
 //! use guardnn::device::GuardNnDevice;
-//! use guardnn::host::UntrustedHost;
+//! use guardnn::host::HostCounterMirror;
+//! use guardnn::server::DeviceServer;
 //! use guardnn::session::RemoteUser;
 //! use guardnn::testnet;
 //!
 //! # fn main() -> Result<(), guardnn::GuardNnError> {
-//! let (mut device, manufacturer_pk) = GuardNnDevice::provision(3, 11);
+//! let (device, manufacturer_pk) = GuardNnDevice::provision(3, 11);
 //! let mut user = RemoteUser::new(manufacturer_pk, 5);
 //! let net = testnet::tiny_mlp();
 //! let weights = testnet::tiny_mlp_weights(2);
 //! let input = vec![2, -1, 0, 4, 3, -2, 1, 5];
 //!
-//! let mut host = UntrustedHost::new();
-//! let output = host.run_inference(&mut device, &mut user, &net, &weights, &input, true)?;
+//! let mut server = DeviceServer::new(device);
+//! let sid = server.connect(&mut user)?;
+//! server.establish(sid, &mut user, true)?;
+//! server.load_model(sid, &mut user, &net, &weights)?;
+//! let output = server.infer(sid, &mut user, &input)?;
 //! // The host saw only ciphertext, yet the result is the plaintext math.
 //! assert_eq!(output, testnet::tiny_mlp_reference(&weights, &input));
+//!
+//! // The VNs the server declared are the ones a fresh mirror predicts
+//! // from the public instruction stream: SetInput, then one Forward per
+//! // layer.
+//! let mut mirror = HostCounterMirror::default();
+//! mirror.on_set_input()?;
+//! let mut expected = vec![mirror.current_write_vn()];
+//! for _ in net.layers() {
+//!     mirror.on_forward()?;
+//!     expected.push(mirror.current_write_vn());
+//! }
+//! assert_eq!(server.last_edge_vns(sid), Some(&expected[..]));
 //! # Ok(())
 //! # }
 //! ```
 
-use crate::device::GuardNnDevice;
 use crate::error::GuardNnError;
-use crate::isa::{Instruction, Response};
 use crate::memory::ELEM_BYTES;
-use crate::session::RemoteUser;
 use guardnn_models::Network;
 
 /// Mirror of the device's feature counters, maintained by the host from the
@@ -81,11 +100,6 @@ impl HostCounterMirror {
     pub fn current_write_vn(&self) -> u64 {
         ((self.ctr_in as u64) << 32) | self.ctr_fw as u64
     }
-
-    /// The VN the device will use for its *next* feature write.
-    pub fn next_write_vn(&self) -> u64 {
-        ((self.ctr_in as u64) << 32) | (self.ctr_fw as u64 + 1)
-    }
 }
 
 /// Byte extent of a tensor region holding `elems` device elements, exactly
@@ -107,532 +121,9 @@ pub fn edge_extent(network: &Network, edge: usize) -> u64 {
     region_extent(elems)
 }
 
-/// Fetches the device certificate and lets the user verify it against
-/// their pinned manufacturer key (`GetPk` → `authenticate_device`) —
-/// shared by [`UntrustedHost::establish`] and
-/// [`crate::server::DeviceServer::connect`].
-pub(crate) fn authenticate(
-    exec: &mut dyn FnMut(Instruction) -> Result<Response, GuardNnError>,
-    user: &mut RemoteUser,
-) -> Result<(), GuardNnError> {
-    let Response::Pk(cert) = exec(Instruction::GetPk)? else {
-        return Err(GuardNnError::InvalidState("unexpected response to GetPk"));
-    };
-    user.authenticate_device(&cert)
-}
-
-/// Runs the fallible key-exchange core shared by
-/// [`UntrustedHost::establish`] and
-/// [`crate::server::DeviceServer::establish`]: `begin_session` →
-/// `InitSession` → `complete_session`, closing the half-open device
-/// session when the user rejects the device's ephemeral public value — so
-/// repeated failed establishes can never exhaust the on-chip session
-/// table. Returns the new device session id; `exec` is the driver's
-/// instruction-issue hook.
-pub(crate) fn run_key_exchange(
-    exec: &mut dyn FnMut(Instruction) -> Result<Response, GuardNnError>,
-    user: &mut RemoteUser,
-    integrity: bool,
-) -> Result<u64, GuardNnError> {
-    let user_public = user.begin_session();
-    let Response::SessionInit {
-        session,
-        device_public,
-    } = exec(Instruction::InitSession {
-        user_public,
-        enable_integrity: integrity,
-    })?
-    else {
-        return Err(GuardNnError::InvalidState(
-            "unexpected response to InitSession",
-        ));
-    };
-    if let Err(e) = user.complete_session(&device_public) {
-        let _ = exec(Instruction::CloseSession { session });
-        return Err(e);
-    }
-    Ok(session)
-}
-
-/// Imports session-encrypted weights layer by layer, skipping weightless
-/// layers (shared by [`UntrustedHost::establish`] and
-/// [`crate::server::DeviceServer::load_model`]).
-pub(crate) fn import_weights(
-    exec: &mut dyn FnMut(Instruction) -> Result<Response, GuardNnError>,
-    user: &mut RemoteUser,
-    weights: &[Vec<i32>],
-) -> Result<(), GuardNnError> {
-    for (layer, w) in weights.iter().enumerate() {
-        if w.is_empty() {
-            continue;
-        }
-        let message = user.encrypt_tensor(w)?;
-        exec(Instruction::SetWeight { layer, message })?;
-    }
-    Ok(())
-}
-
-/// Region base addresses the training backward sweep reads from, queried
-/// up front (the layout is fixed once the model is loaded).
-pub(crate) struct TrainRegions {
-    /// Feature edge base per layer (the stashed forward activations).
-    feature: Vec<u64>,
-    /// Gradient edge base per edge `0..=n`.
-    grad: Vec<u64>,
-    /// Weight-gradient base per layer.
-    wgrad: Vec<u64>,
-}
-
-impl TrainRegions {
-    /// Queries the loaded model's layout from the device's *active*
-    /// session.
-    ///
-    /// # Errors
-    ///
-    /// Propagates device state errors (no session / no model).
-    pub(crate) fn query(device: &GuardNnDevice, layers: usize) -> Result<Self, GuardNnError> {
-        Ok(Self {
-            feature: (0..layers)
-                .map(|l| device.feature_region(l))
-                .collect::<Result<_, _>>()?,
-            grad: (0..=layers)
-                .map(|e| device.grad_region(e))
-                .collect::<Result<_, _>>()?,
-            wgrad: (0..layers)
-                .map(|l| device.wgrad_region(l))
-                .collect::<Result<_, _>>()?,
-        })
-    }
-}
-
-/// Drives the training backward sweep — `SetOutputGrad`, then per layer in
-/// reverse the feature + gradient `SetReadCTR` pair, `Backward`, and (for
-/// weighted layers) the weight-gradient `SetReadCTR` + `UpdateWeight` —
-/// with all the `CTR_F,W` mirror bookkeeping. This security-critical VN
-/// sequence is shared by [`UntrustedHost::train_step`] and
-/// [`crate::server::DeviceServer::train_step`] so the two drivers cannot
-/// drift; `exec` is each driver's instruction-issue hook.
-pub(crate) fn run_backward_sweep(
-    exec: &mut dyn FnMut(Instruction) -> Result<Response, GuardNnError>,
-    counters: &mut HostCounterMirror,
-    network: &Network,
-    regions: &TrainRegions,
-    edge_vns: &[u64],
-    output_grad_message: Vec<u8>,
-    lr_shift: u32,
-) -> Result<(), GuardNnError> {
-    // Loss gradient for the final edge.
-    exec(Instruction::SetOutputGrad {
-        message: output_grad_message,
-    })?;
-    counters.on_forward()?; // SetOutputGrad bumps CTR_F,W
-    let n = network.layers().len();
-    let mut grad_vns = vec![0u64; n + 1];
-    grad_vns[n] = counters.current_write_vn();
-
-    for layer in (0..n).rev() {
-        let l = &network.layers()[layer];
-        // The device reads: stashed features of edge `layer`, gradient of
-        // edge `layer + 1`.
-        let start = regions.feature[layer];
-        exec(Instruction::SetReadCtr {
-            start,
-            end: start + edge_extent(network, layer),
-            vn: edge_vns[layer],
-        })?;
-        let start = regions.grad[layer + 1];
-        exec(Instruction::SetReadCtr {
-            start,
-            end: start + edge_extent(network, layer + 1),
-            vn: grad_vns[layer + 1],
-        })?;
-        exec(Instruction::Backward { layer })?;
-        counters.on_forward()?; // Backward bumps CTR_F,W
-        grad_vns[layer] = counters.current_write_vn();
-
-        if l.has_weights() {
-            // The weight gradient was written with the same VN as the
-            // input gradient of this layer.
-            let start = regions.wgrad[layer];
-            exec(Instruction::SetReadCtr {
-                start,
-                end: start + region_extent(l.weight_elems()),
-                vn: grad_vns[layer],
-            })?;
-            exec(Instruction::UpdateWeight { layer, lr_shift })?;
-        }
-    }
-    Ok(())
-}
-
-/// The untrusted host scheduler.
-#[derive(Clone, Debug, Default)]
-pub struct UntrustedHost {
-    counters: HostCounterMirror,
-    /// Last live session id per device id, so a re-key (re-`establish`)
-    /// frees the on-chip slot it previously claimed *on that device* —
-    /// including when the host returns to a device after serving others.
-    /// The device-id key pins each close to the device that issued the
-    /// id: ids are sequential per device, so closing by bare id on
-    /// whatever device was passed in could destroy an unrelated user's
-    /// session.
-    sessions: std::collections::BTreeMap<u64, u64>,
-    /// Device id of the most recent `establish`.
-    current_device: Option<u64>,
-}
-
-impl UntrustedHost {
-    /// Creates a host.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The host's counter mirror (exposed for malicious-host tests).
-    pub fn counters(&self) -> HostCounterMirror {
-        self.counters
-    }
-
-    /// The device session id this host is driving, if established.
-    pub fn session(&self) -> Option<u64> {
-        self.current_device
-            .and_then(|d| self.sessions.get(&d).copied())
-    }
-
-    /// Re-selects this host's session as the device's active hardware
-    /// context if another actor (a second host, a `DeviceServer`) switched
-    /// it away. The read-counter table does not survive the switch, but
-    /// every driver sequence below re-declares its read counters before
-    /// use, so a plain `SelectSession` suffices.
-    ///
-    /// The host holds ONE counter mirror, synced to the most recent
-    /// `establish` — so driving a previously-established session on a
-    /// *different* device would declare stale VNs and silently garble.
-    /// That case is refused; re-`establish` on the device first (which
-    /// also frees the slot the host left behind there).
-    fn reselect(&self, device: &mut GuardNnDevice) -> Result<(), GuardNnError> {
-        match self.current_device {
-            // Nothing established through this host: let the device
-            // report its own state error.
-            None => Ok(()),
-            Some(d) if d == device.device_id() => {
-                if let Some(&sid) = self.sessions.get(&d) {
-                    if device.active_session() != Some(sid) {
-                        device.execute(Instruction::SelectSession { session: sid })?;
-                    }
-                }
-                Ok(())
-            }
-            Some(_) => Err(GuardNnError::InvalidState(
-                "host counter mirror tracks a different device; re-establish first",
-            )),
-        }
-    }
-
-    /// Establishes a session: authenticate → key exchange → load model →
-    /// import weights. Re-establishing (e.g. to re-key after
-    /// [`GuardNnError::CounterExhausted`]) closes the host's previous
-    /// device session first, so repeated re-keys never exhaust the
-    /// device's [`crate::device::MAX_SESSIONS`]-entry table.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any device or protocol error.
-    pub fn establish(
-        &mut self,
-        device: &mut GuardNnDevice,
-        user: &mut RemoteUser,
-        network: &Network,
-        weights: &[Vec<i32>],
-        integrity: bool,
-    ) -> Result<(), GuardNnError> {
-        authenticate(&mut |instr| device.execute(instr), user)?;
-
-        if let Some(old) = self.sessions.remove(&device.device_id()) {
-            // Free the slot this host previously claimed on THIS device.
-            // Best-effort: the slot may already be gone (cloned host) —
-            // `UnknownSession` is not a protocol failure here.
-            let _ = device.execute(Instruction::CloseSession { session: old });
-        }
-        let session = run_key_exchange(&mut |instr| device.execute(instr), user, integrity)?;
-        self.sessions.insert(device.device_id(), session);
-        self.current_device = Some(device.device_id());
-        self.counters = HostCounterMirror::default();
-
-        device.execute(Instruction::LoadModel {
-            network: network.clone(),
-        })?;
-        import_weights(&mut |instr| device.execute(instr), user, weights)
-    }
-
-    /// Runs one inference in an established session: import input →
-    /// per-layer `SetReadCTR` + `Forward` → export. Returns the decrypted
-    /// output (only the *user* can decrypt it; the host merely relays
-    /// ciphertext). Also returns the per-edge feature-write VN log the
-    /// host tracked, which training needs for reading stashed features.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any device or protocol error.
-    pub fn infer(
-        &mut self,
-        device: &mut GuardNnDevice,
-        user: &mut RemoteUser,
-        network: &Network,
-        input: &[i32],
-    ) -> Result<(Vec<i32>, Vec<u64>), GuardNnError> {
-        self.reselect(device)?;
-        let message = user.encrypt_tensor(input)?;
-        device.execute(Instruction::SetInput { message })?;
-        self.counters.on_set_input()?;
-
-        let mut edge_vns = Vec::with_capacity(network.layers().len() + 1);
-        edge_vns.push(self.counters.current_write_vn());
-        for layer in 0..network.layers().len() {
-            self.set_read_ctr_for_edge(device, network, layer, edge_vns[layer])?;
-            device.execute(Instruction::Forward { layer })?;
-            self.counters.on_forward()?;
-            edge_vns.push(self.counters.current_write_vn());
-        }
-
-        let out_edge = network.layers().len();
-        self.set_read_ctr_for_edge(device, network, out_edge, edge_vns[out_edge])?;
-        let Response::Output { message } = device.execute(Instruction::ExportOutput)? else {
-            return Err(GuardNnError::InvalidState(
-                "unexpected response to ExportOutput",
-            ));
-        };
-        Ok((user.decrypt_tensor(&message)?, edge_vns))
-    }
-
-    /// Runs the full honest protocol for one inference (session + infer).
-    ///
-    /// # Errors
-    ///
-    /// Propagates any device or protocol error.
-    pub fn run_inference(
-        &mut self,
-        device: &mut GuardNnDevice,
-        user: &mut RemoteUser,
-        network: &Network,
-        weights: &[Vec<i32>],
-        input: &[i32],
-        integrity: bool,
-    ) -> Result<Vec<i32>, GuardNnError> {
-        self.establish(device, user, network, weights, integrity)?;
-        Ok(self.infer(device, user, network, input)?.0)
-    }
-
-    /// Runs one training step in an established session: forward pass,
-    /// import of the user's loss gradient (`SetOutputGrad`), per-layer
-    /// `Backward`, and `UpdateWeight` — with all the `SetReadCTR`
-    /// bookkeeping the paper offloads to the host. The updated weights
-    /// remain inside the device's protected memory.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any device or protocol error.
-    #[allow(clippy::too_many_arguments)]
-    pub fn train_step(
-        &mut self,
-        device: &mut GuardNnDevice,
-        user: &mut RemoteUser,
-        network: &Network,
-        input: &[i32],
-        output_grad: &[i32],
-        lr_shift: u32,
-    ) -> Result<(), GuardNnError> {
-        // Forward, stashing per-edge feature VNs.
-        let (_, edge_vns) = self.infer(device, user, network, input)?;
-
-        let message = user.encrypt_tensor(output_grad)?;
-        let regions = TrainRegions::query(device, network.layers().len())?;
-        run_backward_sweep(
-            &mut |instr| device.execute(instr),
-            &mut self.counters,
-            network,
-            &regions,
-            &edge_vns,
-            message,
-            lr_shift,
-        )
-    }
-
-    /// Issues `SetReadCTR` covering gradient edge `edge`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates device errors.
-    pub fn set_read_ctr_for_grad_edge(
-        &self,
-        device: &mut GuardNnDevice,
-        network: &Network,
-        edge: usize,
-        vn: u64,
-    ) -> Result<(), GuardNnError> {
-        let start = device.grad_region(edge)?;
-        device.execute(Instruction::SetReadCtr {
-            start,
-            end: start + edge_extent(network, edge),
-            vn,
-        })?;
-        Ok(())
-    }
-
-    /// Issues `SetReadCTR` covering feature edge `edge`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates device errors.
-    pub fn set_read_ctr_for_edge(
-        &self,
-        device: &mut GuardNnDevice,
-        network: &Network,
-        edge: usize,
-        vn: u64,
-    ) -> Result<(), GuardNnError> {
-        let start = device.feature_region(edge)?;
-        device.execute(Instruction::SetReadCtr {
-            start,
-            end: start + edge_extent(network, edge),
-            vn,
-        })?;
-        Ok(())
-    }
-
-    /// Requests and verifies the attestation report: the user replays the
-    /// expected instruction log and compares.
-    ///
-    /// # Errors
-    ///
-    /// [`GuardNnError::BadAttestation`] on any mismatch.
-    pub fn attest(
-        &self,
-        device: &mut GuardNnDevice,
-        user: &RemoteUser,
-        expected: &crate::attestation::AttestationReport,
-    ) -> Result<(), GuardNnError> {
-        self.reselect(device)?;
-        let Response::Attestation { report, signature } =
-            device.execute(Instruction::SignOutput)?
-        else {
-            return Err(GuardNnError::InvalidState(
-                "unexpected response to SignOutput",
-            ));
-        };
-        user.verify_attestation(&report, &signature, expected)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testnet;
-
-    #[test]
-    fn honest_protocol_computes_correctly() {
-        let (mut device, maker_pk) = GuardNnDevice::provision(11, 42);
-        let mut user = RemoteUser::new(maker_pk, 7);
-        let net = testnet::tiny_mlp();
-        let weights = testnet::tiny_mlp_weights(5);
-        let input = vec![3, 1, -4, 1, 5, -9, 2, 6];
-        let mut host = UntrustedHost::new();
-        let out = host
-            .run_inference(&mut device, &mut user, &net, &weights, &input, true)
-            .expect("inference");
-        assert_eq!(out, testnet::tiny_mlp_reference(&weights, &input));
-    }
-
-    #[test]
-    fn cnn_protocol_computes_correctly() {
-        let (mut device, maker_pk) = GuardNnDevice::provision(12, 43);
-        let mut user = RemoteUser::new(maker_pk, 8);
-        let net = testnet::tiny_cnn();
-        let weights = testnet::deterministic_weights(&net, 9);
-        let input: Vec<i32> = (0..16).map(|i| (i % 5) - 2).collect();
-        let mut host = UntrustedHost::new();
-        let out = host
-            .run_inference(&mut device, &mut user, &net, &weights, &input, false)
-            .expect("inference");
-        assert_eq!(out, testnet::reference_forward(&net, &weights, &input));
-    }
-
-    #[test]
-    fn training_step_updates_weights_correctly() {
-        // Train one step on the device, then run inference with the
-        // (device-resident) updated weights; the result must equal an
-        // inference with reference-updated weights.
-        let (mut device, maker_pk) = GuardNnDevice::provision(21, 52);
-        let mut user = RemoteUser::new(maker_pk, 17);
-        let net = testnet::tiny_mlp();
-        let weights = testnet::tiny_mlp_weights(6);
-        let input = vec![2, -3, 5, -7, 11, -13, 17, -19];
-        let d_out = vec![3, -2];
-        let lr_shift = 0;
-
-        let mut host = UntrustedHost::new();
-        host.establish(&mut device, &mut user, &net, &weights, true)
-            .expect("establish");
-        host.train_step(&mut device, &mut user, &net, &input, &d_out, lr_shift)
-            .expect("train");
-
-        // Inference after training, same session, same device weights.
-        let probe_input = vec![1, 1, 1, 1, 1, 1, 1, 1];
-        let (out, _) = host
-            .infer(&mut device, &mut user, &net, &probe_input)
-            .expect("infer");
-
-        let updated = testnet::reference_train_step(&net, &weights, &input, &d_out, lr_shift);
-        assert_eq!(
-            out,
-            testnet::reference_forward(&net, &updated, &probe_input)
-        );
-    }
-
-    #[test]
-    fn training_cnn_with_pool_and_integrity() {
-        let (mut device, maker_pk) = GuardNnDevice::provision(22, 53);
-        let mut user = RemoteUser::new(maker_pk, 18);
-        let net = testnet::tiny_cnn();
-        let weights = testnet::deterministic_weights(&net, 3);
-        let input: Vec<i32> = (0..16).map(|i| (i % 4) - 1).collect();
-        let d_out = vec![1, -1, 2, -2];
-
-        let mut host = UntrustedHost::new();
-        host.establish(&mut device, &mut user, &net, &weights, true)
-            .expect("establish");
-        host.train_step(&mut device, &mut user, &net, &input, &d_out, 1)
-            .expect("train");
-
-        let probe: Vec<i32> = (0..16).map(|i| 2 - (i % 3)).collect();
-        let (out, _) = host
-            .infer(&mut device, &mut user, &net, &probe)
-            .expect("infer");
-        let updated = testnet::reference_train_step(&net, &weights, &input, &d_out, 1);
-        assert_eq!(out, testnet::reference_forward(&net, &updated, &probe));
-    }
-
-    #[test]
-    fn multiple_training_steps_accumulate() {
-        let (mut device, maker_pk) = GuardNnDevice::provision(23, 54);
-        let mut user = RemoteUser::new(maker_pk, 19);
-        let net = testnet::tiny_mlp();
-        let mut ref_weights = testnet::tiny_mlp_weights(2);
-        let mut host = UntrustedHost::new();
-        host.establish(&mut device, &mut user, &net, &ref_weights, false)
-            .expect("establish");
-        for step in 0..3 {
-            let input: Vec<i32> = (0..8).map(|i| i + step).collect();
-            let d_out = vec![step + 1, -(step + 1)];
-            host.train_step(&mut device, &mut user, &net, &input, &d_out, 2)
-                .expect("train");
-            ref_weights = testnet::reference_train_step(&net, &ref_weights, &input, &d_out, 2);
-        }
-        let probe = vec![1, 0, 1, 0, 1, 0, 1, 0];
-        let (out, _) = host
-            .infer(&mut device, &mut user, &net, &probe)
-            .expect("infer");
-        assert_eq!(out, testnet::reference_forward(&net, &ref_weights, &probe));
-    }
 
     #[test]
     fn counter_mirror_tracks_device() {
@@ -643,96 +134,6 @@ mod tests {
         assert_eq!(m.current_write_vn(), (1 << 32) | 1);
         m.on_set_input().expect("bump");
         assert_eq!(m.current_write_vn(), 2 << 32);
-    }
-
-    #[test]
-    fn rekeying_reuses_the_session_table_slot() {
-        // Re-keying via a fresh establish must close the previous device
-        // session: the documented CounterExhausted recovery path would
-        // otherwise brick the device after MAX_SESSIONS re-keys.
-        let (mut device, maker_pk) = GuardNnDevice::provision(99, 7);
-        let mut user = RemoteUser::new(maker_pk, 3);
-        let net = testnet::tiny_mlp();
-        let weights = testnet::tiny_mlp_weights(1);
-        let mut host = UntrustedHost::new();
-        for round in 0..(crate::device::MAX_SESSIONS + 2) {
-            host.establish(&mut device, &mut user, &net, &weights, false)
-                .unwrap_or_else(|e| panic!("re-key {round} failed: {e}"));
-            assert_eq!(device.session_count(), 1);
-        }
-    }
-
-    #[test]
-    fn rekey_on_another_device_spares_its_sessions() {
-        // Host h served device1 (session id 1 there). device2 has its own
-        // live session 1 belonging to a different user. Re-pointing h at
-        // device2 must NOT close that session: ids are sequential per
-        // device, so a bare-id close would hit an unrelated user.
-        let (mut device1, maker1) = GuardNnDevice::provision(1, 100);
-        let (mut device2, maker2) = GuardNnDevice::provision(2, 200);
-        let net = testnet::tiny_mlp();
-        let weights = testnet::tiny_mlp_weights(4);
-
-        let mut h = UntrustedHost::new();
-        let mut u1 = RemoteUser::new(maker1.clone(), 1);
-        h.establish(&mut device1, &mut u1, &net, &weights, false)
-            .expect("establish on device1");
-
-        // Another host/user pair establishes on device2 (gets id 1 there).
-        let mut other = UntrustedHost::new();
-        let mut u2 = RemoteUser::new(maker2.clone(), 2);
-        other
-            .establish(&mut device2, &mut u2, &net, &weights, false)
-            .expect("establish on device2");
-        assert_eq!(h.session(), other.session(), "ids collide by design");
-
-        // h re-keys against device2: the other user's session survives
-        // and keeps working.
-        let mut u3 = RemoteUser::new(maker2, 3);
-        h.establish(&mut device2, &mut u3, &net, &weights, false)
-            .expect("re-establish on device2");
-        assert_eq!(device2.session_count(), 2);
-        // The surviving host transparently re-selects its own session
-        // (h's establish left a different context active on device2).
-        let probe = vec![1, 2, 3, 4, 5, 6, 7, 8];
-        let (out, _) = other
-            .infer(&mut device2, &mut u2, &net, &probe)
-            .expect("survivor still serves");
-        assert_eq!(out, testnet::tiny_mlp_reference(&weights, &probe));
-
-        // Returning to device1 closes the session h left behind there —
-        // bouncing a host between devices must not leak slots on either.
-        let mut u4 = RemoteUser::new(maker1, 4);
-        h.establish(&mut device1, &mut u4, &net, &weights, false)
-            .expect("return to device1");
-        assert_eq!(device1.session_count(), 1);
-    }
-
-    #[test]
-    fn stale_device_mirror_is_refused_not_garbled() {
-        // The host holds ONE counter mirror. After it re-establishes on a
-        // second device, driving the first device's still-live session
-        // would declare stale VNs and silently garble — the host must
-        // refuse instead.
-        let (mut device1, maker1) = GuardNnDevice::provision(11, 300);
-        let (mut device2, maker2) = GuardNnDevice::provision(12, 400);
-        let net = testnet::tiny_mlp();
-        let weights = testnet::tiny_mlp_weights(5);
-        let mut h = UntrustedHost::new();
-        let mut u1 = RemoteUser::new(maker1, 1);
-        h.establish(&mut device1, &mut u1, &net, &weights, false)
-            .expect("dev1");
-        let input = vec![1, 2, 3, 4, 5, 6, 7, 8];
-        h.infer(&mut device1, &mut u1, &net, &input).expect("infer");
-        let mut u2 = RemoteUser::new(maker2, 2);
-        h.establish(&mut device2, &mut u2, &net, &weights, false)
-            .expect("dev2");
-        assert_eq!(
-            h.infer(&mut device1, &mut u1, &net, &input).unwrap_err(),
-            GuardNnError::InvalidState(
-                "host counter mirror tracks a different device; re-establish first"
-            )
-        );
     }
 
     #[test]
@@ -751,78 +152,5 @@ mod tests {
         );
         // Failed bumps must not move the mirror.
         assert_eq!(m.current_write_vn(), u64::MAX);
-    }
-
-    #[test]
-    fn wrong_read_ctr_garbles_but_output_stays_ciphertext() {
-        // A malicious host sets a wrong CTR_F,R: the computation is
-        // garbage, but the exported message is still ciphertext the host
-        // cannot read, and the user simply gets wrong values — no leak.
-        let (mut device, maker_pk) = GuardNnDevice::provision(13, 44);
-        let mut user = RemoteUser::new(maker_pk, 9);
-        let net = testnet::tiny_mlp();
-        let weights = testnet::tiny_mlp_weights(5);
-        let input = vec![1, 2, 3, 4, 5, 6, 7, 8];
-
-        // Honest run first for the reference.
-        let mut honest = UntrustedHost::new();
-        let good = honest
-            .run_inference(&mut device, &mut user, &net, &weights, &input, false)
-            .expect("honest");
-
-        // Malicious run: same protocol but lie about the input edge VN.
-        let (mut device2, maker_pk2) = GuardNnDevice::provision(13, 44);
-        let mut user2 = RemoteUser::new(maker_pk2, 9);
-        let Response::Pk(cert) = device2.execute(Instruction::GetPk).expect("pk") else {
-            panic!()
-        };
-        user2.authenticate_device(&cert).expect("auth");
-        let up = user2.begin_session();
-        let Response::SessionInit { device_public, .. } = device2
-            .execute(Instruction::InitSession {
-                user_public: up,
-                enable_integrity: false,
-            })
-            .expect("init")
-        else {
-            panic!()
-        };
-        user2.complete_session(&device_public).expect("complete");
-        device2
-            .execute(Instruction::LoadModel {
-                network: net.clone(),
-            })
-            .expect("load");
-        for (layer, w) in weights.iter().enumerate() {
-            let message = user2.encrypt_tensor(w).expect("enc");
-            device2
-                .execute(Instruction::SetWeight { layer, message })
-                .expect("setw");
-        }
-        let message = user2.encrypt_tensor(&input).expect("enc");
-        device2
-            .execute(Instruction::SetInput { message })
-            .expect("seti");
-        let host = UntrustedHost::new();
-        // WRONG vn for edge 0.
-        host.set_read_ctr_for_edge(&mut device2, &net, 0, 0xBAD)
-            .expect("readctr");
-        device2
-            .execute(Instruction::Forward { layer: 0 })
-            .expect("fwd0");
-        host.set_read_ctr_for_edge(&mut device2, &net, 1, (1 << 32) | 1)
-            .expect("readctr");
-        device2
-            .execute(Instruction::Forward { layer: 1 })
-            .expect("fwd1");
-        host.set_read_ctr_for_edge(&mut device2, &net, 2, (1 << 32) | 2)
-            .expect("readctr");
-        let Response::Output { message } =
-            device2.execute(Instruction::ExportOutput).expect("export")
-        else {
-            panic!()
-        };
-        let garbled = user2.decrypt_tensor(&message).expect("dec");
-        assert_ne!(garbled, good, "wrong CTR_F,R must garble the result");
     }
 }

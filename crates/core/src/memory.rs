@@ -90,25 +90,28 @@ impl DeviceMemory {
         &mut self.counters
     }
 
-    /// Base address of feature region `edge` (0 = network input).
-    pub fn feature_region(&self, edge: usize) -> u64 {
-        self.feat_base[edge]
+    /// Base address of feature region `edge` (0 = network input), or
+    /// `None` past the model's last edge.
+    pub fn feature_region(&self, edge: usize) -> Option<u64> {
+        self.feat_base.get(edge).copied()
     }
 
-    /// Base address of layer `layer`'s weights.
-    pub fn weight_region(&self, layer: usize) -> u64 {
-        self.wgt_base[layer]
+    /// Base address of layer `layer`'s weights, or `None` past the last
+    /// layer.
+    pub fn weight_region(&self, layer: usize) -> Option<u64> {
+        self.wgt_base.get(layer).copied()
     }
 
     /// Base address of gradient edge `edge` (mirrors
-    /// [`DeviceMemory::feature_region`]).
-    pub fn grad_region(&self, edge: usize) -> u64 {
-        self.grad_base[edge]
+    /// [`DeviceMemory::feature_region`]), or `None` past the last edge.
+    pub fn grad_region(&self, edge: usize) -> Option<u64> {
+        self.grad_base.get(edge).copied()
     }
 
-    /// Base address of layer `layer`'s weight-gradient region.
-    pub fn wgrad_region(&self, layer: usize) -> u64 {
-        self.wgrad_base[layer]
+    /// Base address of layer `layer`'s weight-gradient region, or `None`
+    /// past the last layer.
+    pub fn wgrad_region(&self, layer: usize) -> Option<u64> {
+        self.wgrad_base.get(layer).copied()
     }
 
     /// Writes a gradient tensor to `edge` under the current feature-write
@@ -285,7 +288,7 @@ mod tests {
         dm.write_features(0, &data);
         let write_vn = dm.counters().feature_write_vn();
         // Correct CTR_F,R → round trip.
-        let base = dm.feature_region(0);
+        let base = dm.feature_region(0).unwrap();
         dm.counters_mut().set_read_ctr(base, base + 4096, write_vn);
         assert_eq!(dm.read_features(0, 8).unwrap(), data);
     }
@@ -296,7 +299,7 @@ mod tests {
         dm.counters_mut().next_input().expect("bump");
         let data: Vec<i32> = (0..8).collect();
         dm.write_features(0, &data);
-        let base = dm.feature_region(0);
+        let base = dm.feature_region(0).unwrap();
         dm.counters_mut().set_read_ctr(base, base + 4096, 0xDEAD);
         let garbled = dm.read_features(0, 8).unwrap();
         assert_ne!(garbled, data, "wrong VN must not decrypt correctly");
@@ -307,7 +310,7 @@ mod tests {
         let (mut dm, _) = setup(true);
         dm.counters_mut().next_input().expect("bump");
         dm.write_features(0, &[1, 2, 3, 4, 5, 6, 7, 8]);
-        let base = dm.feature_region(0);
+        let base = dm.feature_region(0).unwrap();
         dm.counters_mut().set_read_ctr(base, base + 4096, 0xDEAD);
         assert!(matches!(
             dm.read_features(0, 8),
@@ -318,10 +321,10 @@ mod tests {
     #[test]
     fn regions_distinct() {
         let (dm, net) = setup(false);
-        let mut addrs = vec![dm.feature_region(0)];
+        let mut addrs = vec![dm.feature_region(0).unwrap()];
         for i in 0..net.layers().len() {
-            addrs.push(dm.weight_region(i));
-            addrs.push(dm.feature_region(i + 1));
+            addrs.push(dm.weight_region(i).unwrap());
+            addrs.push(dm.feature_region(i + 1).unwrap());
         }
         let mut sorted = addrs.clone();
         sorted.sort_unstable();
@@ -335,7 +338,7 @@ mod tests {
         dm.counters_mut().next_weight().expect("bump");
         let w = vec![0x01020304i32; 8];
         dm.write_weights(0, &w);
-        let raw = dm.protected_memory().raw(dm.weight_region(0), 32);
+        let raw = dm.protected_memory().raw(dm.weight_region(0).unwrap(), 32);
         assert_ne!(raw, to_bytes(&w)[..32].to_vec());
     }
 }

@@ -41,12 +41,21 @@
 //! (the per-instruction cost model lives in [`crate::perf`]). The server
 //! counts every instruction it issues ([`InstructionStats`]), which is how
 //! the tests pin the amortized instruction budget.
+//!
+//! `DeviceServer` is the only host-side instruction sequencer in the
+//! crate: a single user is served by a one-session server
+//! (`DeviceServer::new(device)` → [`DeviceServer::connect`] →
+//! [`DeviceServer::establish`] → [`DeviceServer::load_model`] →
+//! [`DeviceServer::infer`] / [`DeviceServer::train_step`] /
+//! [`DeviceServer::attest`]). A session that never yields the device
+//! issues no `SelectSession`, so its attested instruction chain is
+//! exactly the protocol's and nothing more.
 
 use std::collections::{BTreeMap, VecDeque};
 
 use crate::device::GuardNnDevice;
 use crate::error::GuardNnError;
-use crate::host::{edge_extent, HostCounterMirror};
+use crate::host::{edge_extent, region_extent, HostCounterMirror};
 use crate::isa::{Instruction, Response};
 use crate::session::RemoteUser;
 use guardnn_models::Network;
@@ -282,14 +291,28 @@ impl DeviceServer {
         self.sessions.len()
     }
 
+    /// Feature-write VN per edge `0..=layers` of `session`'s most recently
+    /// completed forward pass — the public values its `SetReadCTR`s
+    /// declared (malicious-host experiments re-declare or falsify them).
+    pub fn last_edge_vns(&self, session: SessionId) -> Option<&[u64]> {
+        self.sessions
+            .get(&session.0)
+            .map(|s| s.last_edge_vns.as_slice())
+    }
+
+    /// The host's mirror of `session`'s on-chip feature counters.
+    pub fn counters(&self, session: SessionId) -> Option<HostCounterMirror> {
+        self.sessions.get(&session.0).map(|s| s.counters)
+    }
+
     /// Issues one instruction, counting it on success.
     fn exec(&mut self, instr: Instruction) -> Result<Response, GuardNnError> {
         Self::exec_on(&mut self.device, &mut self.stats, instr)
     }
 
     /// Field-level variant of [`DeviceServer::exec`], for call sites (like
-    /// the training sweep's closure) that must hold other parts of `self`
-    /// while issuing instructions.
+    /// the training sweep) that must hold other parts of `self` while
+    /// issuing instructions.
     fn exec_on(
         device: &mut GuardNnDevice,
         stats: &mut InstructionStats,
@@ -348,9 +371,10 @@ impl DeviceServer {
     ///
     /// [`GuardNnError::BadCertificate`] when verification fails.
     pub fn connect(&mut self, user: &mut RemoteUser) -> Result<SessionId, GuardNnError> {
-        let device = &mut self.device;
-        let stats = &mut self.stats;
-        crate::host::authenticate(&mut |instr| Self::exec_on(device, stats, instr), user)?;
+        let Response::Pk(cert) = self.exec(Instruction::GetPk)? else {
+            return Err(GuardNnError::InvalidState("unexpected response to GetPk"));
+        };
+        user.authenticate_device(&cert)?;
         let id = self.next_id;
         self.next_id += 1;
         self.sessions.insert(
@@ -454,13 +478,7 @@ impl DeviceServer {
         if self.device.session_count() >= crate::device::MAX_SESSIONS {
             self.evict_lru_idle()?;
         }
-        let device = &mut self.device;
-        let stats = &mut self.stats;
-        match crate::host::run_key_exchange(
-            &mut |instr| Self::exec_on(device, stats, instr),
-            user,
-            integrity,
-        ) {
+        match self.run_key_exchange(user, integrity) {
             Ok(device_sid) => {
                 // InitSession made the new device session the active
                 // hardware context; mirror it.
@@ -494,6 +512,37 @@ impl DeviceServer {
         }
     }
 
+    /// The fallible key-exchange core of [`DeviceServer::establish`]:
+    /// `begin_session` → `InitSession` → `complete_session`, closing the
+    /// half-open device session when the user rejects the device's
+    /// ephemeral public value — so repeated failed establishes can never
+    /// exhaust the on-chip session table. Returns the new device session
+    /// id.
+    fn run_key_exchange(
+        &mut self,
+        user: &mut RemoteUser,
+        integrity: bool,
+    ) -> Result<u64, GuardNnError> {
+        let user_public = user.begin_session();
+        let Response::SessionInit {
+            session,
+            device_public,
+        } = self.exec(Instruction::InitSession {
+            user_public,
+            enable_integrity: integrity,
+        })?
+        else {
+            return Err(GuardNnError::InvalidState(
+                "unexpected response to InitSession",
+            ));
+        };
+        if let Err(e) = user.complete_session(&device_public) {
+            let _ = self.exec(Instruction::CloseSession { session });
+            return Err(e);
+        }
+        Ok(session)
+    }
+
     /// Declares the model and imports the session-encrypted weights:
     /// [`SessionState::Established`] → [`SessionState::ModelLoaded`].
     /// This is the import whose cost `infer_batch` amortizes — it runs
@@ -517,13 +566,15 @@ impl DeviceServer {
         self.exec(Instruction::LoadModel {
             network: network.clone(),
         })?;
-        let device = &mut self.device;
-        let stats = &mut self.stats;
-        crate::host::import_weights(
-            &mut |instr| Self::exec_on(device, stats, instr),
-            user,
-            weights,
-        )?;
+        // Session-encrypted weights, layer by layer; weightless layers
+        // have nothing to import.
+        for (layer, w) in weights.iter().enumerate() {
+            if w.is_empty() {
+                continue;
+            }
+            let message = user.encrypt_tensor(w)?;
+            self.exec(Instruction::SetWeight { layer, message })?;
+        }
         let entry = self.session_mut(session)?;
         entry.edge_extents = (0..=network.layers().len())
             .map(|edge| edge_extent(network, edge))
@@ -1018,7 +1069,6 @@ impl DeviceServer {
                 actual: output_grad.len(),
             });
         }
-        let layers = entry.edge_extents.len() - 1;
 
         // Forward pass (stashing per-edge VNs in `last_edge_vns`).
         let _ = self.infer(session, user, input)?;
@@ -1026,31 +1076,16 @@ impl DeviceServer {
         self.ensure_active(session)?;
 
         let message = user.encrypt_tensor(output_grad)?;
-        let regions = crate::host::TrainRegions::query(&self.device, layers)?;
         // The sweep is one uninterruptible call (no other session can run
         // mid-sweep), so no SetReadCTR checkpointing is needed — only the
-        // instruction stats. Disjoint field borrows let one closure drive
-        // the device while the session entry lends out its network,
-        // counter mirror, and edge VNs without cloning any of them.
-        let device = &mut self.device;
-        let stats = &mut self.stats;
+        // instruction stats. Disjoint field borrows let it drive the
+        // device while the session entry lends out its network, counter
+        // mirror, and edge VNs without cloning any of them.
         let entry = self
             .sessions
             .get_mut(&session.0)
             .ok_or(GuardNnError::UnknownSession { session: session.0 })?;
-        let network = entry
-            .network
-            .as_ref()
-            .ok_or(GuardNnError::InvalidState("no model loaded"))?;
-        let sweep = crate::host::run_backward_sweep(
-            &mut |instr| Self::exec_on(device, stats, instr),
-            &mut entry.counters,
-            network,
-            &regions,
-            &entry.last_edge_vns,
-            message,
-            lr_shift,
-        );
+        let sweep = run_backward_sweep(&mut self.device, &mut self.stats, entry, message, lr_shift);
         // Leave Training even on a failed sweep — the weights may be
         // half-updated (the user decides whether to retrain or discard),
         // but the session must stay usable rather than wedge in Training.
@@ -1113,6 +1148,81 @@ impl DeviceServer {
         }
         Ok(())
     }
+}
+
+/// Drives the training backward sweep for `entry`'s loaded model —
+/// `SetOutputGrad`, then per layer in reverse the feature + gradient
+/// `SetReadCTR` pair, `Backward`, and (for weighted layers) the
+/// weight-gradient `SetReadCTR` + `UpdateWeight` — with all the `CTR_F,W`
+/// mirror bookkeeping. The stashed activations are read with the VNs of
+/// the session's last forward pass.
+fn run_backward_sweep(
+    device: &mut GuardNnDevice,
+    stats: &mut InstructionStats,
+    entry: &mut HostSession,
+    output_grad_message: Vec<u8>,
+    lr_shift: u32,
+) -> Result<(), GuardNnError> {
+    let network = entry
+        .network
+        .as_ref()
+        .ok_or(GuardNnError::InvalidState("no model loaded"))?;
+    let counters = &mut entry.counters;
+    let edge_vns = &entry.last_edge_vns;
+    let mut exec = |device: &mut GuardNnDevice, instr| DeviceServer::exec_on(device, stats, instr);
+    // Loss gradient for the final edge.
+    exec(
+        device,
+        Instruction::SetOutputGrad {
+            message: output_grad_message,
+        },
+    )?;
+    counters.on_forward()?; // SetOutputGrad bumps CTR_F,W
+    let n = network.layers().len();
+    let mut grad_vns = vec![0u64; n + 1];
+    grad_vns[n] = counters.current_write_vn();
+
+    for (layer, l) in network.layers().iter().enumerate().rev() {
+        // The device reads: stashed features of edge `layer`, gradient of
+        // edge `layer + 1`.
+        let start = device.feature_region(layer)?;
+        exec(
+            device,
+            Instruction::SetReadCtr {
+                start,
+                end: start + edge_extent(network, layer),
+                vn: edge_vns[layer],
+            },
+        )?;
+        let start = device.grad_region(layer + 1)?;
+        exec(
+            device,
+            Instruction::SetReadCtr {
+                start,
+                end: start + edge_extent(network, layer + 1),
+                vn: grad_vns[layer + 1],
+            },
+        )?;
+        exec(device, Instruction::Backward { layer })?;
+        counters.on_forward()?; // Backward bumps CTR_F,W
+        grad_vns[layer] = counters.current_write_vn();
+
+        if l.has_weights() {
+            // The weight gradient was written with the same VN as the
+            // input gradient of this layer.
+            let start = device.wgrad_region(layer)?;
+            exec(
+                device,
+                Instruction::SetReadCtr {
+                    start,
+                    end: start + region_extent(l.weight_elems()),
+                    vn: grad_vns[layer],
+                },
+            )?;
+            exec(device, Instruction::UpdateWeight { layer, lr_shift })?;
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1460,6 +1570,84 @@ mod tests {
         let out = server.infer(sid, &mut users[0], &probe).expect("probe");
         let updated = testnet::reference_train_step(&net, &weights, &input, &d_out, 0);
         assert_eq!(out, testnet::reference_forward(&net, &updated, &probe));
+    }
+
+    #[test]
+    fn one_session_issues_exactly_the_protocol_sequence() {
+        // A single user on a one-session server: the instruction stream
+        // is the bare protocol — no SelectSession, no replayed
+        // SetReadCTR — so the attested chain holds nothing extra.
+        let (mut server, mut users) = server_with_users(1);
+        let net = testnet::tiny_mlp();
+        let weights = testnet::tiny_mlp_weights(5);
+        let sid = full_setup(&mut server, &mut users[0], &net, &weights, true);
+        let input = vec![3, 1, -4, 1, 5, -9, 2, 6];
+        server.infer(sid, &mut users[0], &input).expect("infer");
+
+        let layers = net.layers().len() as u64;
+        let weighted = weights.iter().filter(|w| !w.is_empty()).count() as u64;
+        let expected = [
+            ("GETPK", 1),
+            ("INITSESSION", 1),
+            ("LOADMODEL", 1),
+            ("SETWEIGHT", weighted),
+            ("SETINPUT", 1),
+            ("SETREADCTR", layers + 1),
+            ("FORWARD", layers),
+            ("EXPORTOUTPUT", 1),
+        ];
+        let stats = server.stats();
+        for (mnemonic, count) in expected {
+            assert_eq!(stats.count(mnemonic), count, "{mnemonic}");
+        }
+        assert_eq!(stats.count("SELECTSESSION"), 0);
+        assert_eq!(
+            stats.total(),
+            expected.iter().map(|(_, c)| c).sum::<u64>(),
+            "no instruction outside the protocol sequence"
+        );
+    }
+
+    #[test]
+    fn training_cnn_with_pool_and_integrity() {
+        let (device, maker_pk) = GuardNnDevice::provision(22, 53);
+        let mut server = DeviceServer::new(device);
+        let mut user = RemoteUser::new(maker_pk, 18);
+        let net = testnet::tiny_cnn();
+        let weights = testnet::deterministic_weights(&net, 3);
+        let input: Vec<i32> = (0..16).map(|i| (i % 4) - 1).collect();
+        let d_out = vec![1, -1, 2, -2];
+
+        let sid = full_setup(&mut server, &mut user, &net, &weights, true);
+        server
+            .train_step(sid, &mut user, &input, &d_out, 1)
+            .expect("train");
+
+        let probe: Vec<i32> = (0..16).map(|i| 2 - (i % 3)).collect();
+        let out = server.infer(sid, &mut user, &probe).expect("infer");
+        let updated = testnet::reference_train_step(&net, &weights, &input, &d_out, 1);
+        assert_eq!(out, testnet::reference_forward(&net, &updated, &probe));
+    }
+
+    #[test]
+    fn multiple_training_steps_accumulate() {
+        let (device, maker_pk) = GuardNnDevice::provision(23, 54);
+        let mut server = DeviceServer::new(device);
+        let mut user = RemoteUser::new(maker_pk, 19);
+        let net = testnet::tiny_mlp();
+        let mut ref_weights = testnet::tiny_mlp_weights(2);
+        let sid = full_setup(&mut server, &mut user, &net, &ref_weights, false);
+        for step in 0..3 {
+            let input: Vec<i32> = (0..8).map(|i| i + step).collect();
+            let d_out = vec![step + 1, -(step + 1)];
+            server
+                .train_step(sid, &mut user, &input, &d_out, 2)
+                .expect("train");
+            ref_weights = testnet::reference_train_step(&net, &ref_weights, &input, &d_out, 2);
+        }
+        let probe = vec![1, 0, 1, 0, 1, 0, 1, 0];
+        let out = server.infer(sid, &mut user, &probe).expect("infer");
+        assert_eq!(out, testnet::reference_forward(&net, &ref_weights, &probe));
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! `InitSession` runs an ephemeral key exchange between the remote user and
 //! the accelerator (paper: ECDHE-ECDSA on the MicroBlaze; here: prime-field
-//! DH + Schnorr — see DESIGN.md §4). Both sides derive a channel key pair
+//! DH + Schnorr — see ARCHITECTURE.md, "`crates/crypto` → §II"). Both
+//! sides derive a channel key pair
 //! and exchange tensors through an encrypt-then-MAC channel with **strictly
 //! sequential** sequence numbers, so the untrusted host relaying the
 //! messages can neither read, undetectably modify, replay, reorder, nor

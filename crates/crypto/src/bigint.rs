@@ -3,7 +3,8 @@
 //!
 //! The GuardNN microcontroller runs a public-key key exchange
 //! (ECDHE–ECDSA in the paper; finite-field DH + Schnorr here — see
-//! DESIGN.md §4). That needs 2048-bit modular arithmetic. This module is a
+//! ARCHITECTURE.md, "`crates/crypto` → §II"). That needs 2048-bit modular
+//! arithmetic. This module is a
 //! deliberately small bignum: little-endian `u64` limbs, schoolbook
 //! multiplication, and CIOS Montgomery reduction for fast `modpow`.
 //!

@@ -5,7 +5,8 @@
 //! (ECDHE in the paper's MicroBlaze firmware) between the remote user and
 //! the accelerator, producing the symmetric session key K_Session. This
 //! module substitutes classic prime-field DH — same protocol roles and
-//! message flow, different group (see DESIGN.md §4).
+//! message flow, different group (see ARCHITECTURE.md, "`crates/crypto`
+//! → §II").
 //!
 //! Two groups are provided: the 2048-bit MODP group 14 (production-grade
 //! parameters, used by examples/benches) and the 768-bit Oakley group 1

@@ -18,7 +18,8 @@
 //! * [`bigint`] — minimal arbitrary-precision unsigned integers with
 //!   Montgomery modular exponentiation, supporting the key exchange.
 //! * [`dh`] — finite-field Diffie-Hellman over RFC 3526 MODP groups
-//!   (the repo's stand-in for the paper's ECDHE; see DESIGN.md §4).
+//!   (the repo's stand-in for the paper's ECDHE; see ARCHITECTURE.md,
+//!   "`crates/crypto` → §II").
 //! * [`schnorr`] — Schnorr signatures over the same groups (stand-in for
 //!   ECDSA device signatures).
 //! * [`cert`] — a minimal manufacturer-certificate chain binding a device

@@ -4,7 +4,8 @@
 //! ephemeral DH exponents (Table I of the paper). For a reproducible
 //! software model we substitute an AES-CTR pseudorandom generator seeded
 //! explicitly; every simulation and test can therefore be replayed bit-for-
-//! bit. See DESIGN.md §4 for the substitution note.
+//! bit. See ARCHITECTURE.md, "`crates/crypto` → §II", for the
+//! substitution note.
 //!
 //! # Example
 //!

@@ -4,7 +4,8 @@
 //! accelerator's unique private key SK_Accel (ECDSA in the paper). We
 //! substitute Schnorr over a prime-field group — the same role (device
 //! signature verifiable with the certified public key) with a simpler,
-//! easier-to-verify construction. See DESIGN.md §4.
+//! easier-to-verify construction. See ARCHITECTURE.md, "`crates/crypto`
+//! → §II".
 //!
 //! Signature: pick `k ← [1, q)`, compute `r = g^k mod p`,
 //! `e = H(r ‖ m) mod q`, `s = k + e·x mod q`; output `(e, s)`.

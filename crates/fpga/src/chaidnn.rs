@@ -149,7 +149,7 @@ impl FpgaConfig {
     pub fn guardnn_fps(&self, net: &Network) -> f64 {
         let aes_bw = self.aes_bw_bytes();
         // Queueing calibration constant (one global value for all
-        // networks/configurations; see EXPERIMENTS.md).
+        // networks/configurations; see ARCHITECTURE.md, "`crates/fpga`").
         const KAPPA: f64 = 0.0015;
         let total: f64 = self
             .layer_times(net)
@@ -296,7 +296,7 @@ mod calibration_tests {
                 let ratio = fps / paper_fps;
                 // AlexNet at high DSP counts saturates early in our model
                 // (its FC weight streaming is DDR-bound; CHaiDNN's reported
-                // fps apparently excludes that effect) — see EXPERIMENTS.md.
+                // fps apparently excludes that effect) — see ARCHITECTURE.md.
                 assert!(
                     (0.45..2.0).contains(&ratio),
                     "{} @ {dsps} DSPs: model {fps:.1} vs paper {paper_fps} (ratio {ratio:.2})",
@@ -311,7 +311,7 @@ mod calibration_tests {
         // The paper orders AlexNet > GoogleNet > ResNet > VGG by fps at
         // every DSP count; our model preserves that up to 512 DSPs (at
         // 1024 our memory-bound AlexNet FC model flips the first pair —
-        // noted in EXPERIMENTS.md).
+        // noted in ARCHITECTURE.md, "`crates/fpga`").
         for dsps in [128, 256, 512] {
             let cfg = FpgaConfig::new(dsps, Precision::Bit8);
             let a = cfg.baseline_fps(&zoo::alexnet());

@@ -4,7 +4,7 @@
 //! MicroBlaze microcontroller to CHaiDNN (AMD Xilinx's HLS DNN accelerator)
 //! and measures Table II plus the per-instruction latencies of §III-B. We
 //! have no FPGA, so this crate substitutes calibrated analytic models (see
-//! DESIGN.md §4):
+//! ARCHITECTURE.md, "`crates/fpga` → §IV-B/C"):
 //!
 //! * [`chaidnn`] — baseline throughput (DSP count × precision × 200 MHz,
 //!   with a fixed compute efficiency and DDR bandwidth bound) and the

@@ -5,14 +5,14 @@
 //! invariants the code actually keeps: every failure surfaces a *typed*
 //! `GuardNnError` (the chaos matrix keys on it), all concurrency goes
 //! through `std::thread::scope`, the crate graph respects the
-//! ARCHITECTURE.md layer order, and every `GUARDNN_*` knob is
-//! documented. None of that is visible to `rustc`, so this crate checks
+//! ARCHITECTURE.md layer order, every `GUARDNN_*` knob is documented,
+//! and every `*.md` a comment cites exists. None of that is visible to `rustc`, so this crate checks
 //! it the same way `crates/targets` parses YAML: by hand, offline, with
 //! typed errors.
 //!
 //! The pipeline is [`workspace::Workspace::load`] (lex every source file
 //! into code/comment/string channels, parse every `Cargo.toml`) →
-//! [`rules::run_all`] (seven rules, per-site waivers, waiver audit) →
+//! [`rules::run_all`] (eight rules, per-site waivers, waiver audit) →
 //! [`diag::Diagnostic`] output as text or `--json`.
 //!
 //! Waiver syntax, the rule catalog, and the layering/registry formats

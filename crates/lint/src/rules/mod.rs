@@ -4,6 +4,7 @@
 //! themselves (malformed or unused markers are diagnostics too).
 
 pub mod concurrency;
+pub mod doc_refs;
 pub mod docs;
 pub mod env_registry;
 pub mod error_enum;
@@ -56,6 +57,11 @@ pub const RULES: &[RuleInfo] = &[
         waivable: false,
     },
     RuleInfo {
+        id: "doc-refs",
+        summary: "every *.md path cited in a comment exists in the workspace",
+        waivable: true,
+    },
+    RuleInfo {
         id: "env-registry",
         summary: "every GUARDNN_* env var referenced in product code is \
                   documented in the ARCHITECTURE.md registry table",
@@ -77,6 +83,7 @@ pub fn run_all(ws: &mut Workspace) -> Vec<Diagnostic> {
     raw.extend(concurrency::check(ws));
     raw.extend(layering::check(ws));
     raw.extend(docs::check(ws));
+    raw.extend(doc_refs::check(ws));
     raw.extend(env_registry::check(ws));
 
     let waivable = |rule: &str| RULES.iter().any(|r| r.id == rule && r.waivable);

@@ -5,6 +5,7 @@
 //! in-memory [`Workspace`] so the fixture tests can drive the same code
 //! paths on miniature workspaces.
 
+use std::collections::BTreeSet;
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -112,6 +113,10 @@ pub struct Workspace {
     /// `ARCHITECTURE.md` content, when present (the layering and
     /// env-registry rules parse it).
     pub architecture: Option<String>,
+    /// Root-relative paths of every `*.md` file in the workspace (build
+    /// output and dot-directories skipped) — what `doc-refs` resolves
+    /// comment citations against.
+    pub md_files: BTreeSet<String>,
 }
 
 impl Workspace {
@@ -155,11 +160,14 @@ impl Workspace {
             });
         }
         let architecture = fs::read_to_string(root.join("ARCHITECTURE.md")).ok();
+        let mut md_files = BTreeSet::new();
+        walk_md(root, root, &mut md_files)?;
         Ok(Workspace {
             root: root.to_path_buf(),
             root_manifest,
             crates,
             architecture,
+            md_files,
         })
     }
 
@@ -245,6 +253,34 @@ fn load_sources(dir: &Path, manifest: &Manifest) -> Result<Vec<SourceFile>, Lint
         });
     }
     Ok(files)
+}
+
+/// Collects root-relative `*.md` paths under `dir`, skipping `target`
+/// build output and dot-directories (`.git`, caches).
+fn walk_md(root: &Path, dir: &Path, out: &mut BTreeSet<String>) -> Result<(), LintError> {
+    let entries = fs::read_dir(dir).map_err(|e| LintError::Io {
+        path: dir.display().to_string(),
+        cause: e.to_string(),
+    })?;
+    for entry in entries {
+        let path = entry
+            .map_err(|e| LintError::Io {
+                path: dir.display().to_string(),
+                cause: e.to_string(),
+            })?
+            .path();
+        let name = path.file_name().map(|n| n.to_string_lossy().to_string());
+        let name = name.as_deref().unwrap_or("");
+        if path.is_dir() {
+            if name != "target" && !name.starts_with('.') {
+                walk_md(root, &path, out)?;
+            }
+        } else if name.ends_with(".md") {
+            let rel = path.strip_prefix(root).unwrap_or(&path);
+            out.insert(rel.to_string_lossy().replace('\\', "/"));
+        }
+    }
+    Ok(())
 }
 
 fn walk_rs(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), LintError> {

@@ -9,14 +9,14 @@
 
 use guardnn::adversary;
 use guardnn::device::GuardNnDevice;
-use guardnn::host::UntrustedHost;
+use guardnn::server::DeviceServer;
 use guardnn::session::RemoteUser;
 use guardnn::testnet;
 
 fn main() -> Result<(), guardnn::GuardNnError> {
     // 1. Manufacturing: the device is provisioned with a fused private key
     //    and a certificate; the user pins the manufacturer's public key.
-    let (mut device, manufacturer_pk) = GuardNnDevice::provision(0xD0C5, 2024);
+    let (device, manufacturer_pk) = GuardNnDevice::provision(0xD0C5, 2024);
     let mut user = RemoteUser::new(manufacturer_pk, 7);
     println!("provisioned device {:#06x}", device.device_id());
 
@@ -30,10 +30,14 @@ fn main() -> Result<(), guardnn::GuardNnError> {
         network.param_count()
     );
 
-    // 3. The untrusted host schedules everything; it relays ciphertext and
-    //    issues GuardNN instructions, but can never see the tensors.
-    let mut host = UntrustedHost::new();
-    let output = host.run_inference(&mut device, &mut user, &network, &weights, &input, true)?;
+    // 3. The untrusted host's server schedules everything; it relays
+    //    ciphertext and issues GuardNN instructions, but can never see the
+    //    tensors.
+    let mut server = DeviceServer::new(device);
+    let sid = server.connect(&mut user)?;
+    server.establish(sid, &mut user, true)?;
+    server.load_model(sid, &mut user, &network, &weights)?;
+    let output = server.infer(sid, &mut user, &input)?;
     println!("decrypted output: {output:?}");
 
     // 4. Verify against an unprotected reference computation.
@@ -42,7 +46,7 @@ fn main() -> Result<(), guardnn::GuardNnError> {
     println!("matches unprotected reference: {reference:?}");
 
     // 5. What a physical attacker probing DRAM actually sees: ciphertext.
-    let probe = adversary::probe_dram(&mut device, 0x1000, 32)?;
+    let probe = adversary::probe_dram(server.device_mut(), 0x1000, 32)?;
     println!("DRAM probe at 0x1000: {probe:02x?}");
     Ok(())
 }

@@ -11,3 +11,28 @@
 #![deny(missing_docs)]
 
 pub mod chaos;
+
+use guardnn::server::{DeviceServer, SessionId};
+use guardnn::session::RemoteUser;
+use guardnn::GuardNnError;
+use guardnn_models::Network;
+
+/// Opens a session for `user` on `server` with `net` and `weights`
+/// loaded (`connect → establish → load_model`) — the single-user
+/// protocol prefix the suites and chaos scenarios start from.
+///
+/// # Errors
+///
+/// Propagates any device or protocol error.
+pub fn open_session(
+    server: &mut DeviceServer,
+    user: &mut RemoteUser,
+    net: &Network,
+    weights: &[Vec<i32>],
+    integrity: bool,
+) -> Result<SessionId, GuardNnError> {
+    let sid = server.connect(user)?;
+    server.establish(sid, user, integrity)?;
+    server.load_model(sid, user, net, weights)?;
+    Ok(sid)
+}
