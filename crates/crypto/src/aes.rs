@@ -2,9 +2,26 @@
 //!
 //! GuardNN instantiates pipelined AES-128 engines next to the memory
 //! controller for counter-mode encryption of all off-chip traffic. This
-//! module is the functional model of one such engine: a straightforward
-//! table-free implementation of the round function operating on the 4×4
-//! column-major state.
+//! module is the functional model of one such engine.
+//!
+//! Encryption — the only direction the CTR and CMAC engines use — runs on
+//! 32-bit T-tables: each of the nine full rounds is sixteen lookups into
+//! four 1 KiB tables that fuse SubBytes, ShiftRows and MixColumns for one
+//! state column, and the final round looks up the S-box directly. The tables
+//! are built at compile time from the S-box by a `const fn`, and the round
+//! keys are packed into big-endian `u32` words once in [`Aes128::new`].
+//! Decryption keeps the byte-oriented FIPS-197 round functions on the 4×4
+//! column-major state, and the byte-oriented encryption round functions are
+//! kept in the tests as the differential oracle for the T-table core.
+//!
+//! # Side channels
+//!
+//! Like any table-driven software AES (including a plain S-box lookup),
+//! this core indexes memory with secret state, so its cache footprint
+//! depends on key and data: it is **not** constant-time. That is a
+//! property of this functional model only — the engine the paper describes
+//! is on-chip hardware whose timing does not depend on data, and a
+//! bitsliced constant-time software core is out of scope here.
 //!
 //! # Example
 //!
@@ -40,6 +57,29 @@ const SBOX: [u8; 256] = [
     0x8c, 0xa1, 0x89, 0x0d, 0xbf, 0xe6, 0x42, 0x68, 0x41, 0x99, 0x2d, 0x0f, 0xb0, 0x54, 0xbb, 0x16,
 ];
 
+/// Encryption T-tables: `TE[0][x]` is the MixColumns image of a column
+/// holding `SBOX[x]` in row 0, i.e. the big-endian word
+/// `{02}·S[x] ‖ S[x] ‖ S[x] ‖ {03}·S[x]`, and `TE[i]` is `TE[0]` rotated
+/// right by `8·i` bits (the same byte entering row `i`).
+const TE: [[u32; 256]; 4] = t_tables();
+
+const fn t_tables() -> [[u32; 256]; 4] {
+    let mut te = [[0u32; 256]; 4];
+    let mut x = 0;
+    while x < 256 {
+        let s = SBOX[x];
+        let s2 = xtime(s);
+        let s3 = s2 ^ s;
+        let word = u32::from_be_bytes([s2, s, s, s3]);
+        te[0][x] = word;
+        te[1][x] = word.rotate_right(8);
+        te[2][x] = word.rotate_right(16);
+        te[3][x] = word.rotate_right(24);
+        x += 1;
+    }
+    te
+}
+
 /// The inverse AES S-box (computed lazily from [`SBOX`]).
 fn inv_sbox() -> &'static [u8; 256] {
     use std::sync::OnceLock;
@@ -55,7 +95,7 @@ fn inv_sbox() -> &'static [u8; 256] {
 
 /// Multiply by x (i.e. {02}) in GF(2^8) with the AES polynomial.
 #[inline]
-fn xtime(b: u8) -> u8 {
+const fn xtime(b: u8) -> u8 {
     (b << 1) ^ (((b >> 7) & 1) * 0x1b)
 }
 
@@ -81,7 +121,11 @@ fn gf_mul(mut a: u8, mut b: u8) -> u8 {
 /// engine for a whole session.
 #[derive(Clone)]
 pub struct Aes128 {
+    /// Round keys as bytes, for the byte-oriented decryption rounds.
     round_keys: [[u8; 16]; ROUNDS + 1],
+    /// The same round keys as big-endian column words, for the T-table
+    /// encryption rounds (`enc_keys[4 * r + c]` is column `c` of round `r`).
+    enc_keys: [u32; 4 * (ROUNDS + 1)],
 }
 
 impl std::fmt::Debug for Aes128 {
@@ -121,24 +165,49 @@ impl Aes128 {
                 rk[4 * c..4 * c + 4].copy_from_slice(&w[4 * r + c]);
             }
         }
-        Self { round_keys }
+        let enc_keys = w.map(u32::from_be_bytes);
+        Self {
+            round_keys,
+            enc_keys,
+        }
     }
 
     /// Encrypts a single 16-byte block.
     pub fn encrypt_block(&self, block: &[u8; 16]) -> [u8; 16] {
         guardnn_obs::Recorder::global().add("crypto.aes_blocks", 1);
-        let mut state = *block;
-        add_round_key(&mut state, &self.round_keys[0]);
-        for round in 1..ROUNDS {
-            sub_bytes(&mut state);
-            shift_rows(&mut state);
-            mix_columns(&mut state);
-            add_round_key(&mut state, &self.round_keys[round]);
+        let ek = &self.enc_keys;
+        let mut s: [u32; 4] = core::array::from_fn(|c| {
+            u32::from_be_bytes([
+                block[4 * c],
+                block[4 * c + 1],
+                block[4 * c + 2],
+                block[4 * c + 3],
+            ]) ^ ek[c]
+        });
+        // ShiftRows: column c of the next state takes row r from column
+        // c + r, so each output column reads the state starting at c.
+        for k in ek[4..4 * ROUNDS].chunks_exact(4) {
+            let [s0, s1, s2, s3] = s;
+            s = [
+                te_column(s0, s1, s2, s3) ^ k[0],
+                te_column(s1, s2, s3, s0) ^ k[1],
+                te_column(s2, s3, s0, s1) ^ k[2],
+                te_column(s3, s0, s1, s2) ^ k[3],
+            ];
         }
-        sub_bytes(&mut state);
-        shift_rows(&mut state);
-        add_round_key(&mut state, &self.round_keys[ROUNDS]);
-        state
+        let [s0, s1, s2, s3] = s;
+        let k = &ek[4 * ROUNDS..];
+        let words = [
+            sbox_column(s0, s1, s2, s3) ^ k[0],
+            sbox_column(s1, s2, s3, s0) ^ k[1],
+            sbox_column(s2, s3, s0, s1) ^ k[2],
+            sbox_column(s3, s0, s1, s2) ^ k[3],
+        ];
+        let mut out = [0u8; 16];
+        for (bytes, word) in out.chunks_exact_mut(4).zip(words) {
+            bytes.copy_from_slice(&word.to_be_bytes());
+        }
+        out
     }
 
     /// Decrypts a single 16-byte block.
@@ -158,7 +227,31 @@ impl Aes128 {
     }
 }
 
+/// One full encryption round for one output column, before AddRoundKey:
+/// row `r` comes from byte `r` of the `r`-th argument (already shifted).
+#[inline]
+fn te_column(r0: u32, r1: u32, r2: u32, r3: u32) -> u32 {
+    TE[0][(r0 >> 24) as usize]
+        ^ TE[1][(r1 >> 16) as usize & 0xff]
+        ^ TE[2][(r2 >> 8) as usize & 0xff]
+        ^ TE[3][r3 as usize & 0xff]
+}
+
+/// The final round (SubBytes + ShiftRows) for one output column, before
+/// AddRoundKey.
+#[inline]
+fn sbox_column(r0: u32, r1: u32, r2: u32, r3: u32) -> u32 {
+    u32::from_be_bytes([
+        SBOX[(r0 >> 24) as usize],
+        SBOX[(r1 >> 16) as usize & 0xff],
+        SBOX[(r2 >> 8) as usize & 0xff],
+        SBOX[r3 as usize & 0xff],
+    ])
+}
+
 // State layout: state[4*c + r] is row r, column c (column-major, as FIPS-197).
+// `sub_bytes`, `shift_rows` and `mix_columns` are the byte-oriented
+// encryption rounds, kept for tests as the oracle of the T-table core.
 
 fn add_round_key(state: &mut [u8; 16], rk: &[u8; 16]) {
     for (s, k) in state.iter_mut().zip(rk.iter()) {
@@ -166,6 +259,7 @@ fn add_round_key(state: &mut [u8; 16], rk: &[u8; 16]) {
     }
 }
 
+#[cfg(test)]
 fn sub_bytes(state: &mut [u8; 16]) {
     for s in state.iter_mut() {
         *s = SBOX[*s as usize];
@@ -179,6 +273,7 @@ fn inv_sub_bytes(state: &mut [u8; 16]) {
     }
 }
 
+#[cfg(test)]
 fn shift_rows(state: &mut [u8; 16]) {
     for r in 1..4 {
         let mut row = [0u8; 4];
@@ -203,6 +298,7 @@ fn inv_shift_rows(state: &mut [u8; 16]) {
     }
 }
 
+#[cfg(test)]
 fn mix_columns(state: &mut [u8; 16]) {
     for c in 0..4 {
         let col = [
@@ -248,6 +344,44 @@ fn inv_mix_columns(state: &mut [u8; 16]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Byte-oriented FIPS-197 encryption: the reference the T-table
+    /// [`Aes128::encrypt_block`] must match bit for bit.
+    fn encrypt_block_bytewise(cipher: &Aes128, block: &[u8; 16]) -> [u8; 16] {
+        let mut state = *block;
+        add_round_key(&mut state, &cipher.round_keys[0]);
+        for round in 1..ROUNDS {
+            sub_bytes(&mut state);
+            shift_rows(&mut state);
+            mix_columns(&mut state);
+            add_round_key(&mut state, &cipher.round_keys[round]);
+        }
+        sub_bytes(&mut state);
+        shift_rows(&mut state);
+        add_round_key(&mut state, &cipher.round_keys[ROUNDS]);
+        state
+    }
+
+    fn bytes16(hi: u64, lo: u64) -> [u8; 16] {
+        (u128::from(hi) << 64 | u128::from(lo)).to_be_bytes()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(10_000))]
+
+        #[test]
+        fn t_table_encrypt_matches_bytewise_reference(
+            k_hi in any::<u64>(), k_lo in any::<u64>(),
+            b_hi in any::<u64>(), b_lo in any::<u64>(),
+        ) {
+            let cipher = Aes128::new(&bytes16(k_hi, k_lo));
+            let block = bytes16(b_hi, b_lo);
+            let ct = cipher.encrypt_block(&block);
+            prop_assert_eq!(ct, encrypt_block_bytewise(&cipher, &block));
+            prop_assert_eq!(cipher.decrypt_block(&ct), block);
+        }
+    }
 
     /// FIPS-197 Appendix B example.
     #[test]

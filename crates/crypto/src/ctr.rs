@@ -105,6 +105,50 @@ impl AesCtr {
 mod tests {
     use super::*;
 
+    fn hex16(hex: &str) -> [u8; 16] {
+        core::array::from_fn(|i| u8::from_str_radix(&hex[2 * i..2 * i + 2], 16).expect("hex"))
+    }
+
+    /// NIST SP 800-38A §F.5.1 (CTR-AES128.Encrypt): the initial counter
+    /// block f0f1…feff splits into address ‖ version, and the standard
+    /// increment function only touches the low (version) half.
+    #[test]
+    fn sp800_38a_f51_ctr_aes128() {
+        let ctr = AesCtr::new(&hex16("2b7e151628aed2a6abf7158809cf4f3c"));
+        let cases = [
+            (
+                "ec8cdf7398607cb0f2d21675ea9ea1e4",
+                "6bc1bee22e409f96e93d7e117393172a",
+                "874d6191b620e3261bef6864990db6ce",
+            ),
+            (
+                "362b7c3c6773516318a077d7fc5073ae",
+                "ae2d8a571e03ac9c9eb76fac45af8e51",
+                "9806f66b7970fdff8617187bb9fffdff",
+            ),
+            (
+                "6a2cc3787889374fbeb4c81b17ba6c44",
+                "30c81c46a35ce411e5fbc1191a0a52ef",
+                "5ae4df3edbd5d35e5b4f09020db03eab",
+            ),
+            (
+                "e89c399ff0f198c6d40a31db156cabfe",
+                "f69f2445df4f9b17ad2b417be66c3710",
+                "1e031dda2fbe03d1792170a0f3009cee",
+            ),
+        ];
+        for (i, (pad, pt, ct)) in cases.into_iter().enumerate() {
+            let counter =
+                CounterBlock::new(0xf0f1_f2f3_f4f5_f6f7, 0xf8f9_fafb_fcfd_feff + i as u64);
+            assert_eq!(ctr.pad(counter), hex16(pad), "pad {i}");
+            let mut block = hex16(pt);
+            ctr.apply(counter, &mut block);
+            assert_eq!(block, hex16(ct), "ciphertext {i}");
+            ctr.apply(counter, &mut block);
+            assert_eq!(block, hex16(pt), "decryption {i}");
+        }
+    }
+
     #[test]
     fn involution() {
         let ctr = AesCtr::new(&[0x42; 16]);

@@ -109,16 +109,18 @@ impl ProtectedMemory {
     }
 
     /// Raw ciphertext view `[addr, addr + len)` — what a physical attacker
-    /// probing the DRAM bus sees.
+    /// probing the DRAM bus sees. Copied one page segment at a time;
+    /// never-written pages read as zeros.
     pub fn raw(&self, addr: u64, len: usize) -> Vec<u8> {
         let mut out = Vec::with_capacity(len);
-        for i in 0..len as u64 {
-            let a = addr + i;
-            let byte = self
-                .pages
-                .get(&(a / 4096))
-                .map_or(0, |p| p[(a % 4096) as usize]);
-            out.push(byte);
+        while out.len() < len {
+            let a = addr + out.len() as u64;
+            let in_page = (a % 4096) as usize;
+            let take = (len - out.len()).min(4096 - in_page);
+            match self.pages.get(&(a / 4096)) {
+                Some(page) => out.extend_from_slice(&page[in_page..in_page + take]),
+                None => out.resize(out.len() + take, 0),
+            }
         }
         out
     }
@@ -126,12 +128,17 @@ impl ProtectedMemory {
     /// Encrypts `plaintext` with version `vn` and stores it at `addr`,
     /// recomputing the MAC of every chunk it touches.
     ///
+    /// An empty `plaintext` is a no-op: it touches no chunk and no MAC.
+    ///
     /// # Panics
     ///
     /// Panics unless the write is 16-byte aligned (the AES-CTR block
     /// granularity the engine operates at).
     pub fn write(&mut self, addr: u64, plaintext: &[u8], vn: u64) {
         assert!(addr.is_multiple_of(16), "writes must be 16-byte aligned");
+        if plaintext.is_empty() {
+            return;
+        }
         let mut ct = plaintext.to_vec();
         self.ctr.apply_range(addr, vn, &mut ct);
         self.raw_write(addr, &ct);
@@ -159,7 +166,8 @@ impl ProtectedMemory {
     }
 
     /// Reads and decrypts `[addr, addr + len)` with version `vn`,
-    /// verifying chunk MACs when integrity is enabled.
+    /// verifying chunk MACs when integrity is enabled. An empty read
+    /// (`len == 0`) covers no chunk and returns `Ok(vec![])`.
     ///
     /// # Errors
     ///
@@ -171,6 +179,9 @@ impl ProtectedMemory {
     /// Panics unless the read is 16-byte aligned.
     pub fn read(&self, addr: u64, len: usize, vn: u64) -> Result<Vec<u8>, VerifyChunkError> {
         assert!(addr.is_multiple_of(16), "reads must be 16-byte aligned");
+        if len == 0 {
+            return Ok(Vec::new());
+        }
         if let Some(cmac) = &self.cmac {
             let first_chunk = addr / CHUNK_BYTES;
             let last_chunk = (addr + len as u64 - 1) / CHUNK_BYTES;
@@ -226,6 +237,87 @@ impl ProtectedMemory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The per-byte raw view: the oracle for the page-slice
+    /// [`ProtectedMemory::raw`].
+    fn raw_bytewise(mem: &ProtectedMemory, addr: u64, len: usize) -> Vec<u8> {
+        let mut out = Vec::with_capacity(len);
+        for i in 0..len as u64 {
+            let a = addr + i;
+            let byte = mem
+                .pages
+                .get(&(a / 4096))
+                .map_or(0, |p| p[(a % 4096) as usize]);
+            out.push(byte);
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Each generated word is split into an address (low half) and a
+        /// length (high half). Writes land in pages 0..6 of a 12-page
+        /// window, so reads cross page boundaries over written and
+        /// never-written pages alike.
+        #[test]
+        fn raw_matches_bytewise_oracle(
+            writes in prop::collection::vec(any::<u64>(), 0..6),
+            ranges in prop::collection::vec(any::<u64>(), 1..12),
+            integrity in any::<bool>(),
+        ) {
+            let split = |word: u64, addr_span: u64| {
+                ((word & 0xffff_ffff) % addr_span, ((word >> 32) % (3 * 4096)) as usize)
+            };
+            let mut mem = ProtectedMemory::new(&[3u8; 16], integrity.then_some([4u8; 16]));
+            for (i, &word) in writes.iter().enumerate() {
+                let (block, len) = split(word, 6 * 256);
+                let data: Vec<u8> = (0..len).map(|j| (i + j) as u8).collect();
+                mem.write(16 * block, &data, i as u64);
+            }
+            for &word in &ranges {
+                let (addr, len) = split(word, 12 * 4096);
+                prop_assert_eq!(mem.raw(addr, len), raw_bytewise(&mem, addr, len));
+                prop_assert!(mem.raw(addr, 0).is_empty());
+            }
+        }
+    }
+
+    #[test]
+    fn zero_length_read_and_write_touch_nothing() {
+        // (addr, integrity): address 0, a chunk-aligned address and a
+        // mid-chunk address, each with integrity on and off.
+        let rows = [
+            (0u64, true),
+            (0, false),
+            (4 * CHUNK_BYTES, true),
+            (4 * CHUNK_BYTES, false),
+            (4 * CHUNK_BYTES + 48, true),
+            (4 * CHUNK_BYTES + 48, false),
+        ];
+        for (addr, integrity) in rows {
+            let mut mem = ProtectedMemory::new(&[1u8; 16], integrity.then_some([2u8; 16]));
+            let chunk = addr - addr % CHUNK_BYTES;
+            mem.write(chunk, &[0x5A; CHUNK_BYTES as usize], 7);
+            let before = (mem.snapshot_chunk(chunk), mem.page_count(), mem.macs.len());
+
+            assert_eq!(mem.read(addr, 0, 7), Ok(vec![]), "read at {addr:#x}");
+            assert_eq!(mem.read(addr, 0, 8), Ok(vec![]), "read at {addr:#x}");
+            mem.write(addr, &[], 8);
+            let after = (mem.snapshot_chunk(chunk), mem.page_count(), mem.macs.len());
+            assert_eq!(before, after, "empty write at {addr:#x} changed memory");
+            // The chunk still verifies under its own VN, not the empty write's.
+            assert_eq!(
+                mem.read(chunk, CHUNK_BYTES as usize, 7),
+                Ok(vec![0x5A; CHUNK_BYTES as usize]),
+                "chunk at {chunk:#x}"
+            );
+            if integrity {
+                assert!(mem.read(chunk, CHUNK_BYTES as usize, 8).is_err());
+            }
+        }
+    }
 
     fn mem_ci() -> ProtectedMemory {
         ProtectedMemory::new(&[1u8; 16], Some([2u8; 16]))
