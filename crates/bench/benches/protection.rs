@@ -18,13 +18,11 @@ use std::hint::black_box;
 const FOOTPRINT: u64 = 1 << 30;
 
 fn stream_blocks(engine: &mut dyn ProtectionEngine, blocks: u64) -> usize {
-    let mut meta = 0usize;
+    let mut meta = Vec::new();
     for b in 0..blocks {
-        meta += engine
-            .on_access(b * 64, b % 4 == 0, StreamClass::FeatureWrite)
-            .len();
+        engine.on_access(b * 64, b % 4 == 0, StreamClass::FeatureWrite, &mut meta);
     }
-    meta + engine.flush().len()
+    meta.len() + engine.flush().len()
 }
 
 fn bench_engines(c: &mut Criterion) {

@@ -1,22 +1,31 @@
 //! Per-channel command scheduling with an FR-FCFS reordering window.
 //!
-//! The scheduler keeps its window in per-bank pending queues keyed by row
-//! (the open-row index), plus a channel-wide arrival-order deque and an
-//! incrementally maintained count of pending rows that mismatch their
-//! bank's open row. In the common streaming case (every pending request
-//! hits an open row) an FR-FCFS pick is O(1): the mismatch count is zero,
-//! so the oldest request — the front of the arrival deque — is the oldest
-//! hit. Otherwise one pass over the per-bank row queues (O(banks) for
-//! realistic windows) yields the oldest hit, the oldest request, and the
-//! background row-preparation candidate together — instead of the three
-//! O(window) scans plus O(window) removal a flat queue needs per issued
-//! command.
+//! The window lives in a slab of `sched_window + 1` request slots, each on
+//! two intrusive lists: its bank's per-row queue (singly linked in arrival
+//! order, headed by a small per-bank row index) and the channel-wide
+//! arrival list (doubly linked, so a request picked out of FCFS order
+//! unlinks in O(1)). The arrival head is always the oldest live request;
+//! nothing goes stale and nothing is allocated after construction.
+//!
+//! Beside the lists the scheduler maintains, incrementally, the per-bank
+//! count of pending rows that mismatch the bank's open row and the
+//! per-bank front seq of the open row's queue (the hit index). The oldest
+//! request then decides most picks: if it is a row hit it *is* the oldest
+//! hit — in the common streaming case, where every pending request hits,
+//! that is the whole pick; if it is a non-hit it is the background
+//! preparation candidate, and a successful activation makes it the pick.
+//! Only a victim-blocked preparation takes the minimum over the hit index
+//! — instead of the three O(window) scans plus O(window) removal a flat
+//! queue needs per issued command.
 
 use crate::bank::{Bank, RowOutcome};
 use crate::config::DramConfig;
 use crate::stats::DramStats;
 use guardnn_obs::Recorder;
 use std::collections::VecDeque;
+
+/// Null slab link.
+const NIL: usize = usize::MAX;
 
 /// A decoded transaction bound for one channel.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -31,35 +40,34 @@ pub struct Request {
     pub is_write: bool,
 }
 
-/// A queued request body; its bank and row are the keys it is filed under.
-#[derive(Clone, Copy, Debug)]
-struct Pending {
+/// One slab slot: a queued request and its intrusive list links. Free
+/// slots are chained through `next_in_row`.
+#[derive(Clone, Copy, Debug, Default)]
+struct Slot {
     /// Global arrival sequence number (FCFS tiebreak).
     seq: u64,
+    bank: usize,
     bank_group: usize,
+    row: u64,
     is_write: bool,
+    /// Next request of the same (bank, row) queue, or the next free slot.
+    next_in_row: usize,
+    /// Older neighbour on the arrival list.
+    prev: usize,
+    /// Younger neighbour on the arrival list.
+    next: usize,
 }
 
-/// Pending requests for one row of one bank, in arrival order. Row queues
-/// are dropped when drained, so `fifo` is never empty and `front_seq`
-/// (cached to keep the scheduler's scan off the deque allocation) is
-/// always the seq of `fifo.front()`.
-#[derive(Clone, Debug)]
+/// Pending requests for one row of one bank: a slab list from `head` to
+/// `tail` in arrival order. Row queues are dropped when drained, so the
+/// list is never empty; `front_seq` is the seq of `head`, cached for the
+/// pick/prep scans.
+#[derive(Clone, Copy, Debug)]
 struct RowQueue {
     row: u64,
-    /// Seq of `fifo.front()`, cached for the pick/prep scans.
+    head: usize,
+    tail: usize,
     front_seq: u64,
-    fifo: VecDeque<Pending>,
-}
-
-/// One entry of the channel-wide arrival-order deque. Entries picked out
-/// of FCFS order are not removed eagerly; they are pruned lazily (an entry
-/// is stale once its seq has popped past its row queue's front).
-#[derive(Clone, Copy, Debug)]
-struct OrderEntry {
-    seq: u64,
-    bank: usize,
-    row: u64,
 }
 
 /// One memory channel: banks, scheduler queues, shared data bus.
@@ -67,12 +75,17 @@ struct OrderEntry {
 pub struct Channel {
     cfg: DramConfig,
     banks: Vec<Bank>,
-    /// Per-bank pending requests, grouped by row in arrival order. A
-    /// realistic window holds a handful of rows per bank, so the row list
-    /// is a plain vector scanned linearly.
+    /// Per-bank row queues. A realistic window holds a handful of rows per
+    /// bank, so the row list is a plain vector scanned linearly.
     pending: Vec<Vec<RowQueue>>,
-    /// Channel-wide arrival order (lazily pruned; see [`OrderEntry`]).
-    order: VecDeque<OrderEntry>,
+    /// The window's request slots (`sched_window + 1`: a push may overfill
+    /// the window by one before it issues).
+    slots: Vec<Slot>,
+    /// Head of the free-slot chain.
+    free: usize,
+    /// Arrival-list head (the oldest live request) and tail.
+    oldest: usize,
+    newest: usize,
     /// Live (unissued) requests across all row queues.
     queued: usize,
     /// Next arrival sequence number.
@@ -88,13 +101,11 @@ pub struct Channel {
     /// check is a single compare.
     hit_front: Vec<u64>,
     /// Sum of `mismatched` across banks; zero means every pending request
-    /// is a row hit and the scheduler can take the O(1) fast path.
+    /// is a row hit and the pick skips background preparation.
     mismatched_total: usize,
     /// Cached oldest pending non-hit for background preparation:
     /// `None` = stale (recompute), `Some(x)` = known answer.
     mis_cache: Option<Option<(u64, usize, u64)>>,
-    /// Retired row-queue allocations, reused to avoid churn.
-    free_queues: Vec<VecDeque<Pending>>,
     /// Current scheduling time (cycle of the last issued column command).
     now: u64,
     /// Cycle at which the data bus becomes free.
@@ -192,19 +203,31 @@ impl Channel {
         let mismatched = vec![0; cfg.banks_per_channel()];
         let hit_front = vec![u64::MAX; cfg.banks_per_channel()];
         let last_col = vec![None; cfg.bank_groups];
+        let slots = (1..=cfg.sched_window + 1)
+            .map(|next_free| Slot {
+                next_in_row: if next_free > cfg.sched_window {
+                    NIL
+                } else {
+                    next_free
+                },
+                ..Slot::default()
+            })
+            .collect();
         Self {
             next_refresh: cfg.timing.refi,
             cfg,
             banks,
             pending,
-            order: VecDeque::new(),
+            slots,
+            free: 0,
+            oldest: NIL,
+            newest: NIL,
             queued: 0,
             next_seq: 0,
             mismatched,
             hit_front,
             mismatched_total: 0,
             mis_cache: Some(None),
-            free_queues: Vec::new(),
             now: 0,
             bus_free: 0,
             last_col,
@@ -223,21 +246,33 @@ impl Channel {
     pub fn push(&mut self, req: Request) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let p = Pending {
+        let slot = self.free;
+        self.free = self.slots[slot].next_in_row;
+        self.slots[slot] = Slot {
             seq,
+            bank: req.bank,
             bank_group: req.bank_group,
+            row: req.row,
             is_write: req.is_write,
+            next_in_row: NIL,
+            prev: self.newest,
+            next: NIL,
         };
+        match self.newest {
+            NIL => self.oldest = slot,
+            newest => self.slots[newest].next = slot,
+        }
+        self.newest = slot;
         let rows = &mut self.pending[req.bank];
         if let Some(rq) = rows.iter_mut().find(|rq| rq.row == req.row) {
-            rq.fifo.push_back(p);
+            self.slots[rq.tail].next_in_row = slot;
+            rq.tail = slot;
         } else {
-            let mut fifo = self.free_queues.pop().unwrap_or_default();
-            fifo.push_back(p);
             rows.push(RowQueue {
                 row: req.row,
+                head: slot,
+                tail: slot,
                 front_seq: seq,
-                fifo,
             });
             if self.banks[req.bank].open_row() != Some(req.row) {
                 self.mismatched[req.bank] += 1;
@@ -253,20 +288,9 @@ impl Channel {
                 self.hit_front[req.bank] = seq;
             }
         }
-        self.order.push_back(OrderEntry {
-            seq,
-            bank: req.bank,
-            row: req.row,
-        });
         self.queued += 1;
         while self.queued > self.cfg.sched_window {
             self.issue_one();
-        }
-        // Out-of-FCFS-order picks leave stale order entries behind;
-        // compact once they outnumber the window so scans stay bounded.
-        if self.order.len() > self.queued + 2 * self.cfg.sched_window {
-            let pending = &self.pending;
-            self.order.retain(|e| Self::is_live(pending, e));
         }
     }
 
@@ -286,19 +310,8 @@ impl Channel {
         self.stats
     }
 
-    /// Whether `e` still refers to a live (unissued) request. Row queues
-    /// pop in seq order, so an entry is live iff its seq has not yet
-    /// passed its queue's front.
-    #[inline]
-    fn is_live(pending: &[Vec<RowQueue>], e: &OrderEntry) -> bool {
-        pending[e.bank]
-            .iter()
-            .find(|rq| rq.row == e.row)
-            .is_some_and(|rq| rq.front_seq <= e.seq)
-    }
-
     /// Removes and returns the front request of `(bank, row)`, maintaining
-    /// the live count and the mismatch index.
+    /// the live count, the mismatch index and the arrival list.
     #[inline]
     fn pop_pending(&mut self, bank: usize, row: u64) -> Request {
         if let Some(Some((_, b, r))) = self.mis_cache {
@@ -312,33 +325,60 @@ impl Channel {
             .position(|rq| rq.row == row)
             // lint:allow(panic-discipline) — callers pass (bank, row) taken from the pending index
             .expect("pending row present");
-        // lint:allow(panic-discipline) — a pending row entry always holds at least one request
-        let p = rows[idx].fifo.pop_front().expect("row queue nonempty");
+        let slot = rows[idx].head;
+        let s = self.slots[slot];
         let is_hit_queue = self.banks[bank].open_row() == Some(row);
-        if let Some(next_seq) = rows[idx].fifo.front().map(|p| p.seq) {
-            rows[idx].front_seq = next_seq;
-            if is_hit_queue {
-                self.hit_front[bank] = next_seq;
-            }
-        } else {
-            let rq = rows.swap_remove(idx);
-            if self.free_queues.len() <= self.cfg.sched_window {
-                self.free_queues.push(rq.fifo);
-            }
+        if s.next_in_row == NIL {
+            rows.swap_remove(idx);
             if is_hit_queue {
                 self.hit_front[bank] = u64::MAX;
             } else {
                 self.mismatched[bank] -= 1;
                 self.mismatched_total -= 1;
             }
+        } else {
+            let next_seq = self.slots[s.next_in_row].seq;
+            rows[idx].head = s.next_in_row;
+            rows[idx].front_seq = next_seq;
+            if is_hit_queue {
+                self.hit_front[bank] = next_seq;
+            }
         }
+        match s.prev {
+            NIL => self.oldest = s.next,
+            prev => self.slots[prev].next = s.next,
+        }
+        match s.next {
+            NIL => self.newest = s.prev,
+            next => self.slots[next].prev = s.prev,
+        }
+        self.slots[slot].next_in_row = self.free;
+        self.free = slot;
         self.queued -= 1;
         Request {
             bank,
-            bank_group: p.bank_group,
+            bank_group: s.bank_group,
             row,
-            is_write: p.is_write,
+            is_write: s.is_write,
         }
+    }
+
+    /// Earliest cycle the tFAW window allows another activate.
+    fn faw_gate(&self) -> u64 {
+        match self.recent_acts.len() {
+            4 => self.recent_acts[0] + self.cfg.timing.faw,
+            _ => 0,
+        }
+    }
+
+    /// Records `bank`'s activate in the tFAW window and re-indexes its
+    /// pending rows against the newly open row.
+    fn note_activate(&mut self, bank: usize) {
+        if self.recent_acts.len() == 4 {
+            self.recent_acts.pop_front();
+        }
+        self.recent_acts.push_back(self.banks[bank].activated_at());
+        self.note_row_change(bank);
     }
 
     /// Recomputes the mismatch count and the hit front for `bank` after
@@ -359,48 +399,6 @@ impl Channel {
         self.hit_front[bank] = hit_front;
         self.mismatched_total = self.mismatched_total - self.mismatched[bank] + new;
         self.mismatched[bank] = new;
-    }
-
-    /// Fast path: every pending request is a row hit, so the oldest
-    /// request — the first live entry of the arrival deque — is the
-    /// FR-FCFS pick and background preparation has nothing to do. The
-    /// liveness check and the pop share one row-queue lookup.
-    #[inline]
-    fn pick_all_hits(&mut self) -> Request {
-        loop {
-            // lint:allow(panic-discipline) — issue_one() only schedules while requests are pending
-            let e = self.order.pop_front().expect("queue nonempty");
-            let rows = &mut self.pending[e.bank];
-            let Some(idx) = rows.iter().position(|rq| rq.row == e.row) else {
-                continue; // stale: row queue fully drained
-            };
-            // Live iff the entry's seq has not popped past the queue front;
-            // for the order front, live implies it *is* the queue front.
-            if rows[idx].front_seq > e.seq {
-                continue; // stale: reissued row, newer requests only
-            }
-            // lint:allow(panic-discipline) — front_seq liveness check guarantees the queue front
-            let p = rows[idx].fifo.pop_front().expect("nonempty");
-            if let Some(next_seq) = rows[idx].fifo.front().map(|p| p.seq) {
-                rows[idx].front_seq = next_seq;
-                self.hit_front[e.bank] = next_seq;
-            } else {
-                let rq = rows.swap_remove(idx);
-                if self.free_queues.len() <= self.cfg.sched_window {
-                    self.free_queues.push(rq.fifo);
-                }
-                // All-hits invariant: the drained row was the open row, so
-                // the mismatch count is unchanged.
-                self.hit_front[e.bank] = u64::MAX;
-            }
-            self.queued -= 1;
-            return Request {
-                bank: e.bank,
-                bank_group: p.bank_group,
-                row: e.row,
-                is_write: p.is_write,
-            };
-        }
     }
 
     /// Recomputes (or returns the cached) oldest pending non-hit — the
@@ -436,20 +434,9 @@ impl Channel {
         if self.hit_front[bank] != u64::MAX {
             return false;
         }
-        let t = self.cfg.timing;
-        let act_gate = if self.recent_acts.len() >= 4 {
-            self.recent_acts[self.recent_acts.len() - 4] + t.faw
-        } else {
-            0
-        };
-        let issue_from = self.now.max(act_gate);
-        let (outcome, _) = self.banks[bank].access_row(row, issue_from, &t);
-        let act_at = self.banks[bank].activated_at();
-        self.recent_acts.push_back(act_at);
-        while self.recent_acts.len() > 4 {
-            self.recent_acts.pop_front();
-        }
-        self.note_row_change(bank);
+        let issue_from = self.now.max(self.faw_gate());
+        let (outcome, _) = self.banks[bank].access_row(row, issue_from, &self.cfg.timing);
+        self.note_activate(bank);
         match outcome {
             RowOutcome::Hit => {}
             RowOutcome::Miss => self.stats.row_misses += 1,
@@ -458,38 +445,30 @@ impl Channel {
         true
     }
 
-    /// Slow path (some pending request is a non-hit): background
-    /// preparation for the oldest non-hit, then the FR-FCFS pick — oldest
-    /// row hit first, else the oldest request.
+    /// Background row preparation, then the FR-FCFS pick — oldest row hit
+    /// first, else the oldest request.
     ///
-    /// The oldest live request (the arrival-deque front) collapses most of
-    /// the work: if it is a hit, it *is* the oldest hit, and preparation
-    /// works on the cached oldest non-hit; if it is a non-hit, it *is* the
-    /// preparation candidate, and a successful activation turns it into
+    /// The oldest live request (the arrival head) collapses most of the
+    /// work: if it is a hit, it *is* the oldest hit, and preparation works
+    /// on the cached oldest non-hit (there is none in the streaming common
+    /// case, where every pending request hits); if it is a non-hit, it *is*
+    /// the preparation candidate, and a successful activation turns it into
     /// the pick. Only a victim-blocked preparation needs a scan over the
     /// open-row index to find the oldest hit.
     #[inline]
-    fn prepare_and_pick(&mut self) -> Request {
-        // Oldest live request; prune stale entries off the deque front.
-        let front = loop {
-            // lint:allow(panic-discipline) — issue_one() only schedules while requests are pending
-            let e = *self.order.front().expect("queue nonempty");
-            if Self::is_live(&self.pending, &e) {
-                break e;
-            }
-            self.order.pop_front();
-        };
+    fn pick(&mut self) -> Request {
+        let front = self.slots[self.oldest];
         if self.banks[front.bank].open_row() == Some(front.row) {
-            if let Some((_, bank, row)) = self.oldest_mismatched() {
-                self.try_prepare(bank, row);
+            if self.mismatched_total > 0 {
+                if let Some((_, bank, row)) = self.oldest_mismatched() {
+                    self.try_prepare(bank, row);
+                }
             }
-            self.order.pop_front();
             return self.pop_pending(front.bank, front.row);
         }
         // The oldest request is the oldest non-hit: prepare its row, and
         // on success it becomes the oldest hit — the pick.
         if self.try_prepare(front.bank, front.row) {
-            self.order.pop_front();
             return self.pop_pending(front.bank, front.row);
         }
         // Preparation refused to close the victim row, so its pending hits
@@ -497,14 +476,12 @@ impl Channel {
         // yields it as a min over one flat per-bank array — no rescan of
         // the row queues (the old scan here accounted for ~25% of issue
         // time on conflict-heavy BP workloads).
-        let mut best_hit: Option<(u64, usize)> = None;
+        let (mut oldest_hit, mut bank) = (u64::MAX, 0);
         for (bank_idx, &front) in self.hit_front.iter().enumerate() {
-            if front != u64::MAX && best_hit.is_none_or(|(s, _)| front < s) {
-                best_hit = Some((front, bank_idx));
+            if front < oldest_hit {
+                (oldest_hit, bank) = (front, bank_idx);
             }
         }
-        // lint:allow(panic-discipline) — caller reaches here only when a victim bank has hits
-        let (_, bank) = best_hit.expect("victim row has pending hits");
         let row = self.banks[bank]
             .open_row()
             // lint:allow(panic-discipline) — hit_front is set only while the bank row is open
@@ -515,29 +492,16 @@ impl Channel {
     #[inline]
     fn issue_one(&mut self) {
         self.maybe_refresh();
-        let req = if self.mismatched_total == 0 {
-            self.pick_all_hits()
-        } else {
-            self.prepare_and_pick()
-        };
+        let req = self.pick();
         let t = self.cfg.timing;
 
         // Row management; activates are gated by the tFAW window.
         let needs_act = self.banks[req.bank].open_row() != Some(req.row);
-        let act_gate = if needs_act && self.recent_acts.len() >= 4 {
-            self.recent_acts[self.recent_acts.len() - 4] + t.faw
-        } else {
-            0
-        };
+        let act_gate = if needs_act { self.faw_gate() } else { 0 };
         let issue_from = self.now.max(act_gate);
         let (outcome, row_ready) = self.banks[req.bank].access_row(req.row, issue_from, &t);
         if needs_act {
-            let act_at = self.banks[req.bank].activated_at();
-            self.recent_acts.push_back(act_at);
-            while self.recent_acts.len() > 4 {
-                self.recent_acts.pop_front();
-            }
-            self.note_row_change(req.bank);
+            self.note_activate(req.bank);
         }
 
         // Column command: after row ready, tCCD_L since the last column in
@@ -785,11 +749,40 @@ mod tests {
         z ^ (z >> 31)
     }
 
+    /// Geometries for the differential tests: the unit-test channel with
+    /// the slab at its smallest (`sched_window` 1 and 2) and at the
+    /// production size (64), plus a 32-bank channel (the paper's two
+    /// ranks) and HBM-class timing (BL4, low tCCD).
+    fn differential_cfgs() -> Vec<DramConfig> {
+        let mut cfgs: Vec<DramConfig> = [1, 2, 64]
+            .into_iter()
+            .map(|sched_window| DramConfig {
+                sched_window,
+                ..cfg()
+            })
+            .collect();
+        cfgs.push(DramConfig {
+            channels: 1,
+            ..DramConfig::ddr4_2400_16gb()
+        });
+        let hbm = guardnn_targets::registry::get("hbm-wide").expect("hbm-wide target");
+        cfgs.push(DramConfig {
+            channels: 1,
+            ..DramConfig::from_target(hbm)
+        });
+        cfgs
+    }
+
     #[test]
     fn indexed_scheduler_matches_flat_reference() {
         // Differential oracle: mixed streaming/scatter/write workloads must
         // produce identical statistics to the flat O(window) scheduler.
-        let cfg = cfg();
+        for cfg in differential_cfgs() {
+            indexed_matches_flat(cfg);
+        }
+    }
+
+    fn indexed_matches_flat(cfg: DramConfig) {
         for seed in 0..8u64 {
             let mut state = seed.wrapping_mul(0x5851_F42D_4C95_7F2D) + 1;
             let mut fast = Channel::new(cfg);
@@ -802,7 +795,7 @@ mod tests {
                     stream_addr += 1;
                     Request {
                         bank: ((stream_addr / 4) % 8) as usize,
-                        bank_group: (stream_addr % 4) as usize,
+                        bank_group: (stream_addr % cfg.bank_groups as u64) as usize,
                         row: stream_addr / 512,
                         is_write: r.is_multiple_of(10),
                     }
@@ -819,22 +812,27 @@ mod tests {
                 flat.push(req);
                 if i % 1024 == 1023 {
                     // Mid-run checkpoints drain both to idle.
-                    assert_eq!(fast.drain(), flat.drain(), "seed {seed}, step {i}");
+                    assert_eq!(fast.drain(), flat.drain(), "{cfg:?} seed {seed}, step {i}");
                 }
             }
-            assert_eq!(fast.drain(), flat.drain(), "seed {seed}");
+            assert_eq!(fast.drain(), flat.drain(), "{cfg:?} seed {seed}");
         }
     }
 
     #[test]
     fn victim_blocked_pick_matches_flat_reference() {
         // Regression pin for the hit-index fast path: a conflict storm on
-        // a few banks keeps the arrival-deque front a non-hit whose
+        // a few banks keeps the arrival-list head a non-hit whose
         // preparation is victim-blocked (the open row still has pending
         // hits behind younger conflicting requests), so every issue takes
         // the oldest-hit branch. Schedules must stay identical to the
         // flat O(window) scan.
-        let cfg = cfg();
+        for cfg in differential_cfgs() {
+            victim_blocked_matches_flat(cfg);
+        }
+    }
+
+    fn victim_blocked_matches_flat(cfg: DramConfig) {
         for seed in 0..6u64 {
             let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) + 3;
             let mut fast = Channel::new(cfg);
@@ -853,10 +851,10 @@ mod tests {
                 fast.push(req);
                 flat.push(req);
                 if i % 2048 == 2047 {
-                    assert_eq!(fast.drain(), flat.drain(), "seed {seed}, step {i}");
+                    assert_eq!(fast.drain(), flat.drain(), "{cfg:?} seed {seed}, step {i}");
                 }
             }
-            assert_eq!(fast.drain(), flat.drain(), "seed {seed}");
+            assert_eq!(fast.drain(), flat.drain(), "{cfg:?} seed {seed}");
         }
     }
 
@@ -1147,8 +1145,8 @@ mod tests {
     fn deep_window_reordering_matches_flat_scan() {
         // A pathological mix (interleaved conflicting rows on a few banks,
         // reads and writes) must drain completely with every request
-        // issued exactly once, exercising the slow path, the freelist and
-        // the stale-entry compaction together.
+        // issued exactly once, exercising the slow path and slot reuse
+        // across out-of-order picks together.
         let mut ch = Channel::new(cfg());
         let n = 4096usize;
         for i in 0..n {

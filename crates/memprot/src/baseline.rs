@@ -9,7 +9,7 @@
 //! BP's ~35% traffic and ~1.25× slowdown on DNNs.
 
 use crate::cache::MetaCache;
-use crate::{MetaAccess, ProtectionEngine, StreamClass, BLOCK_BYTES};
+use crate::{exact_log2, MetaAccess, ProtectionEngine, StreamClass, BLOCK_BYTES};
 
 /// Configuration of the MEE model.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -19,11 +19,11 @@ pub struct MeeConfig {
     /// Cache associativity.
     pub cache_ways: usize,
     /// Data blocks covered per VN line (Intel MEE packs 8 split counters
-    /// per 64-byte line).
+    /// per 64-byte line). A power of two.
     pub blocks_per_vn_line: u64,
-    /// Data blocks covered per MAC line (8 × 8-byte MACs).
+    /// Data blocks covered per MAC line (8 × 8-byte MACs). A power of two.
     pub blocks_per_mac_line: u64,
-    /// Integrity-tree arity (VN lines per parent node).
+    /// Integrity-tree arity (VN lines per parent node), at least 2.
     pub tree_arity: u64,
 }
 
@@ -42,48 +42,73 @@ impl Default for MeeConfig {
 /// The baseline-protection engine.
 #[derive(Clone, Debug)]
 pub struct BaselineMee {
-    cfg: MeeConfig,
     cache: MetaCache,
     /// Base of the VN array in DRAM.
     vn_base: u64,
-    /// Base of each tree level; `tree_base[0]` is the level above the VN
-    /// array. The root above the last level is on chip.
-    tree_base: Vec<u64>,
-    /// Lines per tree level.
-    tree_lines: Vec<u64>,
+    /// `log2` of the data bytes one VN line covers.
+    vn_line_shift: u32,
+    /// Integrity-tree levels stored in DRAM; `tree[0]` is the level above
+    /// the VN array. The root above the last level is on chip.
+    tree: Vec<TreeLevel>,
     /// Base of the MAC array.
     mac_base: u64,
+    /// `log2` of the data bytes one MAC line covers.
+    mac_line_shift: u32,
+}
+
+/// One integrity-tree level in DRAM.
+#[derive(Clone, Copy, Debug)]
+struct TreeLevel {
+    base: u64,
+    lines: u64,
+    /// VN lines covered per node (`tree_arity^(level + 1)`).
+    span: u64,
 }
 
 impl BaselineMee {
     /// Creates an engine protecting `data_bytes` of DRAM, with metadata
     /// regions laid out immediately above the data.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tree_arity < 2`, if `blocks_per_vn_line` or
+    /// `blocks_per_mac_line` is not a power of two, or if the cache
+    /// geometry is not a valid [`MetaCache`] geometry.
     pub fn new(data_bytes: u64, cfg: MeeConfig) -> Self {
+        let arity = cfg.tree_arity;
+        assert!(arity >= 2, "tree_arity {arity} is below 2");
+        let block_shift = BLOCK_BYTES.trailing_zeros();
+        let vn_line_shift = block_shift + exact_log2("blocks_per_vn_line", cfg.blocks_per_vn_line);
+        let mac_line_shift =
+            block_shift + exact_log2("blocks_per_mac_line", cfg.blocks_per_mac_line);
         let data_blocks = data_bytes.div_ceil(BLOCK_BYTES);
         let vn_lines = data_blocks.div_ceil(cfg.blocks_per_vn_line);
         let vn_base = data_bytes.next_multiple_of(4096);
 
-        let mut tree_base = Vec::new();
-        let mut tree_lines = Vec::new();
+        let mut tree = Vec::new();
         let mut cursor = vn_base + vn_lines * BLOCK_BYTES;
-        let mut level_lines = vn_lines.div_ceil(cfg.tree_arity);
-        while level_lines >= 1 {
-            tree_base.push(cursor);
-            tree_lines.push(level_lines);
-            cursor += level_lines * BLOCK_BYTES;
-            if level_lines == 1 {
+        let mut span = arity;
+        let mut lines = vn_lines.div_ceil(arity);
+        while lines >= 1 {
+            tree.push(TreeLevel {
+                base: cursor,
+                lines,
+                span,
+            });
+            cursor += lines * BLOCK_BYTES;
+            if lines == 1 {
                 break;
             }
-            level_lines = level_lines.div_ceil(cfg.tree_arity);
+            lines = lines.div_ceil(arity);
+            span = span.saturating_mul(arity);
         }
-        let mac_base = cursor.next_multiple_of(4096);
         Self {
             cache: MetaCache::new(cfg.cache_bytes, cfg.cache_ways),
-            cfg,
             vn_base,
-            tree_base,
-            tree_lines,
-            mac_base,
+            vn_line_shift,
+            tree,
+            mac_base: cursor.next_multiple_of(4096),
+            mac_line_shift,
         }
     }
 
@@ -94,7 +119,7 @@ impl BaselineMee {
 
     /// Number of integrity-tree levels stored in DRAM.
     pub fn tree_depth(&self) -> usize {
-        self.tree_base.len()
+        self.tree.len()
     }
 
     /// Metadata-cache miss rate so far.
@@ -102,36 +127,13 @@ impl BaselineMee {
         self.cache.miss_rate()
     }
 
-    fn vn_line_addr(&self, block_addr: u64) -> u64 {
-        let block = block_addr / BLOCK_BYTES;
-        self.vn_base + block / self.cfg.blocks_per_vn_line * BLOCK_BYTES
-    }
-
     fn mac_line_addr(&self, block_addr: u64) -> u64 {
-        let block = block_addr / BLOCK_BYTES;
-        self.mac_base + block / self.cfg.blocks_per_mac_line * BLOCK_BYTES
+        self.mac_base + (block_addr >> self.mac_line_shift) * BLOCK_BYTES
     }
 
     fn tree_node_addr(&self, level: usize, vn_line_index: u64) -> u64 {
-        let divisor = self.cfg.tree_arity.pow(level as u32 + 1);
-        let node = (vn_line_index / divisor).min(self.tree_lines[level] - 1);
-        self.tree_base[level] + node * BLOCK_BYTES
-    }
-
-    /// Touches a metadata line through the cache, recording DRAM traffic
-    /// for the miss fill and any dirty write-back.
-    fn touch(&mut self, addr: u64, dirty: bool, out: &mut Vec<MetaAccess>) -> bool {
-        let res = self.cache.access(addr, dirty);
-        if let Some(victim) = res.writeback {
-            out.push(MetaAccess {
-                addr: victim,
-                write: true,
-            });
-        }
-        if !res.hit {
-            out.push(MetaAccess { addr, write: false });
-        }
-        res.hit
+        let l = self.tree[level];
+        l.base + (vn_line_index / l.span).min(l.lines - 1) * BLOCK_BYTES
     }
 }
 
@@ -144,21 +146,25 @@ impl ProtectionEngine for BaselineMee {
         true
     }
 
-    fn on_access(&mut self, block_addr: u64, write: bool, _stream: StreamClass) -> Vec<MetaAccess> {
-        let mut out = Vec::new();
+    fn on_access(
+        &mut self,
+        block_addr: u64,
+        write: bool,
+        _stream: StreamClass,
+        out: &mut Vec<MetaAccess>,
+    ) {
         // Version-number line: read to build the counter, dirtied by writes
         // (the per-block counter increments).
-        let vn_line = self.vn_line_addr(block_addr);
-        let vn_hit = self.touch(vn_line, write, &mut out);
+        let vn_line_index = block_addr >> self.vn_line_shift;
+        let vn_line = self.vn_base + vn_line_index * BLOCK_BYTES;
+        let vn_hit = self.cache.touch(vn_line, write, true, out);
         // Counter-tree walk: on a VN miss the line must be verified against
         // the tree, walking up until a cached (already-verified) node. On a
         // write the touched nodes become dirty.
         if !vn_hit {
-            let vn_line_index = (vn_line - self.vn_base) / BLOCK_BYTES;
-            for level in 0..self.tree_base.len() {
+            for level in 0..self.tree.len() {
                 let node = self.tree_node_addr(level, vn_line_index);
-                let hit = self.touch(node, write, &mut out);
-                if hit {
+                if self.cache.touch(node, write, true, out) {
                     break;
                 }
             }
@@ -166,25 +172,11 @@ impl ProtectionEngine for BaselineMee {
         // MAC line: verified on read; on write the MAC is recomputed from
         // scratch, so the line is allocated dirty without a fetch.
         let mac_line = self.mac_line_addr(block_addr);
-        if write {
-            if let Some(victim) = self.cache.write_no_fetch(mac_line).writeback {
-                out.push(MetaAccess {
-                    addr: victim,
-                    write: true,
-                });
-            }
-        } else {
-            self.touch(mac_line, false, &mut out);
-        }
-        out
+        self.cache.touch(mac_line, write, !write, out);
     }
 
     fn flush(&mut self) -> Vec<MetaAccess> {
-        self.cache
-            .flush_dirty()
-            .into_iter()
-            .map(|addr| MetaAccess { addr, write: true })
-            .collect()
+        self.cache.flush_dirty()
     }
 }
 
@@ -210,7 +202,8 @@ mod tests {
     #[test]
     fn cold_access_fetches_vn_tree_and_mac() {
         let mut e = engine(64);
-        let metas = e.on_access(0, false, StreamClass::FeatureRead);
+        let mut metas = Vec::new();
+        e.on_access(0, false, StreamClass::FeatureRead, &mut metas);
         // VN line + ≥1 tree node + MAC line.
         assert!(metas.len() >= 3, "got {metas:?}");
         assert!(metas.iter().all(|m| !m.write));
@@ -219,36 +212,35 @@ mod tests {
     #[test]
     fn streaming_amortizes_metadata() {
         let mut e = engine(64);
-        let mut meta = 0usize;
+        let mut meta = Vec::new();
         let blocks = 4096u64;
         for b in 0..blocks {
-            meta += e.on_access(b * 64, false, StreamClass::FeatureRead).len();
+            e.on_access(b * 64, false, StreamClass::FeatureRead, &mut meta);
         }
         // One VN line + one MAC line per 8 blocks ≈ 0.25 per block, plus a
         // thin stream of tree nodes.
-        let per_block = meta as f64 / blocks as f64;
+        let per_block = meta.len() as f64 / blocks as f64;
         assert!((0.2..0.5).contains(&per_block), "got {per_block}");
     }
 
     #[test]
     fn writes_create_writebacks() {
         let mut e = engine(256);
-        let mut wb = 0usize;
+        let mut meta = Vec::new();
         // Write a large region so dirty VN/MAC lines must be evicted.
         for b in 0..200_000u64 {
-            wb += e
-                .on_access(b * 64, true, StreamClass::FeatureWrite)
-                .iter()
-                .filter(|m| m.write)
-                .count();
+            e.on_access(b * 64, true, StreamClass::FeatureWrite, &mut meta);
         }
-        assert!(wb > 0, "dirty metadata must be written back under pressure");
+        assert!(
+            meta.iter().any(|m| m.write),
+            "dirty metadata must be written back under pressure"
+        );
     }
 
     #[test]
     fn flush_drains_dirty_lines() {
         let mut e = engine(64);
-        e.on_access(0, true, StreamClass::FeatureWrite);
+        e.on_access(0, true, StreamClass::FeatureWrite, &mut Vec::new());
         let flushed = e.flush();
         assert!(!flushed.is_empty());
         assert!(flushed.iter().all(|m| m.write));
@@ -260,18 +252,14 @@ mod tests {
         let mut stream_e = engine(256);
         let mut scatter_e = engine(256);
         let n = 20_000u64;
-        let mut stream_meta = 0usize;
-        let mut scatter_meta = 0usize;
+        let (mut stream_meta, mut scatter_meta) = (Vec::new(), Vec::new());
         for i in 0..n {
-            stream_meta += stream_e
-                .on_access(i * 64, false, StreamClass::FeatureRead)
-                .len();
+            stream_e.on_access(i * 64, false, StreamClass::FeatureRead, &mut stream_meta);
             // Large prime stride defeats both cache and VN-line sharing.
             let addr = (i * 64 * 8209) % (256 << 20);
-            scatter_meta += scatter_e
-                .on_access(addr, false, StreamClass::FeatureRead)
-                .len();
+            scatter_e.on_access(addr, false, StreamClass::FeatureRead, &mut scatter_meta);
         }
+        let (stream_meta, scatter_meta) = (stream_meta.len(), scatter_meta.len());
         assert!(
             scatter_meta as f64 > 2.0 * stream_meta as f64,
             "scatter {scatter_meta} vs stream {stream_meta}"
@@ -284,9 +272,9 @@ mod tests {
         for level in 0..e.tree_depth() {
             let last_vn_line = (64 << 20) / 64 / 8 - 1;
             let addr = e.tree_node_addr(level, last_vn_line);
-            let base = e.tree_base[level];
-            assert!(addr >= base);
-            assert!(addr < base + e.tree_lines[level] * 64);
+            let l = e.tree[level];
+            assert!(addr >= l.base);
+            assert!(addr < l.base + l.lines * 64);
         }
     }
 }

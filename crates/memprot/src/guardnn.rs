@@ -19,7 +19,9 @@
 //! // GuardNN_C: version numbers are on-chip registers, so encryption
 //! // adds zero metadata traffic on any access pattern.
 //! let mut c = GuardNnEngine::confidentiality_only(1 << 20);
-//! assert!(c.on_access(0, true, StreamClass::FeatureWrite).is_empty());
+//! let mut meta = Vec::new();
+//! c.on_access(0, true, StreamClass::FeatureWrite, &mut meta);
+//! assert!(meta.is_empty());
 //! assert!(c.flush().is_empty());
 //!
 //! // GuardNN_CI: a flat 8-byte MAC per 512-byte chunk — no stored VNs,
@@ -29,19 +31,17 @@
 //! // reach DRAM only at the flush: 16 × 64 B over 64 KiB of data ≈ 1.6%
 //! // traffic overhead (the paper's §III-C).
 //! let mut ci = GuardNnEngine::confidentiality_and_integrity(1 << 20);
-//! let mut inline = 0;
+//! let mut inline = Vec::new();
 //! for block in 0..(64 << 10) / BLOCK_BYTES {
-//!     inline += ci
-//!         .on_access(block * BLOCK_BYTES, true, StreamClass::FeatureWrite)
-//!         .len();
+//!     ci.on_access(block * BLOCK_BYTES, true, StreamClass::FeatureWrite, &mut inline);
 //! }
-//! assert_eq!(inline, 0, "write MACs coalesce in the on-chip buffer");
+//! assert!(inline.is_empty(), "write MACs coalesce in the on-chip buffer");
 //! assert_eq!(ci.flush().len(), 16);
 //! ```
 
 use crate::cache::MetaCache;
 use crate::vn::VersionCounters;
-use crate::{MetaAccess, ProtectionEngine, StreamClass, BLOCK_BYTES};
+use crate::{exact_log2, MetaAccess, ProtectionEngine, StreamClass, BLOCK_BYTES};
 
 /// Protection level.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -58,9 +58,10 @@ pub struct GuardNnConfig {
     /// Protection level.
     pub protection: Protection,
     /// Data bytes covered by one MAC (the accelerator's write granularity;
-    /// 512 B in the paper's prototype).
+    /// 512 B in the paper's prototype). A power of two.
     pub mac_chunk_bytes: u64,
-    /// Bytes of one MAC entry.
+    /// Bytes of one MAC entry, 1–64, packing a power-of-two number of
+    /// entries into a 64-byte line.
     pub mac_entry_bytes: u64,
     /// Small on-chip MAC buffer that coalesces MAC-line traffic for
     /// sequential chunks.
@@ -84,15 +85,31 @@ pub struct GuardNnEngine {
     cfg: GuardNnConfig,
     counters: VersionCounters,
     mac_base: u64,
+    /// `log2(mac_chunk_bytes × entries per line)`: data bytes per MAC line.
+    mac_line_shift: u32,
     mac_cache: MetaCache,
 }
 
 impl GuardNnEngine {
     /// Creates an engine protecting `data_bytes` of DRAM.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mac_chunk_bytes` is not a power of two, if
+    /// `mac_entry_bytes` is outside 1–64 or does not pack a power-of-two
+    /// number of entries per 64-byte line, or if `mac_cache_bytes` is not
+    /// a valid [`MetaCache`] geometry.
     pub fn new(data_bytes: u64, cfg: GuardNnConfig) -> Self {
+        let entry = cfg.mac_entry_bytes;
+        assert!(
+            (1..=BLOCK_BYTES).contains(&entry),
+            "mac_entry_bytes {entry} is outside 1..=64"
+        );
         Self {
             counters: VersionCounters::new(),
             mac_base: data_bytes.next_multiple_of(4096),
+            mac_line_shift: exact_log2("mac_chunk_bytes", cfg.mac_chunk_bytes)
+                + exact_log2("entries per MAC line", BLOCK_BYTES / entry),
             mac_cache: MetaCache::new(cfg.mac_cache_bytes, 4),
             cfg,
         }
@@ -126,9 +143,7 @@ impl GuardNnEngine {
     }
 
     fn mac_line_addr(&self, block_addr: u64) -> u64 {
-        let chunk = block_addr / self.cfg.mac_chunk_bytes;
-        let entries_per_line = BLOCK_BYTES / self.cfg.mac_entry_bytes;
-        self.mac_base + chunk / entries_per_line * BLOCK_BYTES
+        self.mac_base + (block_addr >> self.mac_line_shift) * BLOCK_BYTES
     }
 }
 
@@ -156,43 +171,27 @@ impl ProtectionEngine for GuardNnEngine {
         guardnn_obs::Recorder::global().add("memprot.vn_advances", 1);
     }
 
-    fn on_access(&mut self, block_addr: u64, write: bool, stream: StreamClass) -> Vec<MetaAccess> {
+    fn on_access(
+        &mut self,
+        block_addr: u64,
+        write: bool,
+        stream: StreamClass,
+        out: &mut Vec<MetaAccess>,
+    ) {
         // Encryption costs no traffic: the counter block is (address, VN)
         // with the VN from on-chip state.
         let _ = stream;
         if self.cfg.protection == Protection::ConfidentialityOnly {
-            return Vec::new();
+            return;
         }
         // Integrity: touch the MAC line for this chunk. Writes recompute
         // the MAC, so they allocate without fetching.
-        let mut out = Vec::new();
         let mac_line = self.mac_line_addr(block_addr);
-        let res = if write {
-            self.mac_cache.write_no_fetch(mac_line)
-        } else {
-            self.mac_cache.access(mac_line, false)
-        };
-        if let Some(victim) = res.writeback {
-            out.push(MetaAccess {
-                addr: victim,
-                write: true,
-            });
-        }
-        if !res.hit {
-            out.push(MetaAccess {
-                addr: mac_line,
-                write: false,
-            });
-        }
-        out
+        self.mac_cache.touch(mac_line, write, !write, out);
     }
 
     fn flush(&mut self) -> Vec<MetaAccess> {
-        self.mac_cache
-            .flush_dirty()
-            .into_iter()
-            .map(|addr| MetaAccess { addr, write: true })
-            .collect()
+        self.mac_cache.flush_dirty()
     }
 }
 
@@ -203,11 +202,11 @@ mod tests {
     #[test]
     fn confidentiality_only_is_free() {
         let mut e = GuardNnEngine::confidentiality_only(64 << 20);
+        let mut meta = Vec::new();
         for b in 0..10_000u64 {
-            assert!(e
-                .on_access(b * 64, b % 2 == 0, StreamClass::FeatureWrite)
-                .is_empty());
+            e.on_access(b * 64, b % 2 == 0, StreamClass::FeatureWrite, &mut meta);
         }
+        assert!(meta.is_empty());
         assert!(e.flush().is_empty());
         assert_eq!(e.name(), "GuardNN_C");
         assert!(!e.protects_integrity());
@@ -217,12 +216,11 @@ mod tests {
     fn integrity_traffic_is_small_fraction() {
         let mut e = GuardNnEngine::confidentiality_and_integrity(256 << 20);
         let blocks = 100_000u64;
-        let mut meta_bytes = 0u64;
+        let mut meta = Vec::new();
         for b in 0..blocks {
-            meta_bytes +=
-                e.on_access(b * 64, false, StreamClass::FeatureRead).len() as u64 * BLOCK_BYTES;
+            e.on_access(b * 64, false, StreamClass::FeatureRead, &mut meta);
         }
-        meta_bytes += e.flush().len() as u64 * BLOCK_BYTES;
+        let meta_bytes = (meta.len() + e.flush().len()) as u64 * BLOCK_BYTES;
         let data_bytes = blocks * BLOCK_BYTES;
         let ratio = meta_bytes as f64 / data_bytes as f64;
         // One 64B MAC line per 4 KiB of streamed data ≈ 1.6%.
@@ -235,16 +233,12 @@ mod tests {
         use crate::baseline::BaselineMee;
         let mut gnn = GuardNnEngine::confidentiality_and_integrity(256 << 20);
         let mut bp = BaselineMee::with_defaults(256 << 20);
-        let mut gnn_meta = 0usize;
-        let mut bp_meta = 0usize;
+        let (mut gnn_meta, mut bp_meta) = (Vec::new(), Vec::new());
         for b in 0..50_000u64 {
-            gnn_meta += gnn
-                .on_access(b * 64, b % 3 == 0, StreamClass::FeatureWrite)
-                .len();
-            bp_meta += bp
-                .on_access(b * 64, b % 3 == 0, StreamClass::FeatureWrite)
-                .len();
+            gnn.on_access(b * 64, b % 3 == 0, StreamClass::FeatureWrite, &mut gnn_meta);
+            bp.on_access(b * 64, b % 3 == 0, StreamClass::FeatureWrite, &mut bp_meta);
         }
+        let (gnn_meta, bp_meta) = (gnn_meta.len(), bp_meta.len());
         assert!(
             (gnn_meta as f64) < bp_meta as f64 / 5.0,
             "GuardNN {gnn_meta} vs BP {bp_meta}"
@@ -273,7 +267,7 @@ mod tests {
     #[test]
     fn dirty_mac_lines_flushed() {
         let mut e = GuardNnEngine::confidentiality_and_integrity(1 << 20);
-        e.on_access(0, true, StreamClass::FeatureWrite);
+        e.on_access(0, true, StreamClass::FeatureWrite, &mut Vec::new());
         let flushed = e.flush();
         assert_eq!(flushed.len(), 1);
         assert!(flushed[0].write);

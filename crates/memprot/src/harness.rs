@@ -125,6 +125,7 @@ pub fn run_protected(
     let mut prev_cycles = 0u64;
     let mut event_idx = 0usize;
     let mut pending_writes: Vec<u64> = Vec::with_capacity(META_WRITE_BATCH);
+    let mut metas = Vec::new();
 
     let dram_ns_per_cycle = 1e3 / dram_cfg.clock_mhz as f64;
     let accel_ns_per_cycle = 1e3 / accel_mhz as f64;
@@ -139,7 +140,8 @@ pub fn run_protected(
                 let addr = block * BLOCK_BYTES;
                 dram.access(addr, ev.write);
                 data_bytes += BLOCK_BYTES;
-                let metas = engine.on_access(addr, ev.write, ev.stream.into());
+                metas.clear();
+                engine.on_access(addr, ev.write, ev.stream.into(), &mut metas);
                 issue_meta(&mut dram, &metas, &mut meta_bytes, &mut pending_writes);
             }
             event_idx += 1;
@@ -220,6 +222,8 @@ pub struct ProtectedStream<'e, I> {
     blocks: std::ops::Range<u64>,
     write: bool,
     stream: crate::StreamClass,
+    /// The engine's metadata accesses for the current block (reused).
+    metas: Vec<MetaAccess>,
     pending_writes: Vec<u64>,
     /// Whether `on_pass_begin` has run for the pass in progress.
     pass_started: bool,
@@ -237,6 +241,7 @@ impl<'e, I: TraceSource> ProtectedStream<'e, I> {
             blocks: 0..0,
             write: false,
             stream: crate::StreamClass::FeatureRead,
+            metas: Vec::new(),
             pending_writes: Vec::with_capacity(META_WRITE_BATCH),
             pass_started: false,
             flushed: false,
@@ -248,8 +253,8 @@ impl<'e, I: TraceSource> ProtectedStream<'e, I> {
         self.inner.buffer_bytes()
     }
 
-    fn enqueue_metas(&mut self, metas: Vec<MetaAccess>) {
-        for m in metas {
+    fn enqueue_metas(&mut self, metas: &[MetaAccess]) {
+        for &m in metas {
             if m.write {
                 self.pending_writes.push(m.addr);
                 if self.pending_writes.len() >= META_WRITE_BATCH {
@@ -283,8 +288,12 @@ impl<I: TraceSource> Iterator for ProtectedStream<'_, I> {
             }
             if let Some(block) = self.blocks.next() {
                 let addr = block * BLOCK_BYTES;
-                let metas = self.engine.on_access(addr, self.write, self.stream);
-                self.enqueue_metas(metas);
+                let mut metas = std::mem::take(&mut self.metas);
+                metas.clear();
+                self.engine
+                    .on_access(addr, self.write, self.stream, &mut metas);
+                self.enqueue_metas(&metas);
+                self.metas = metas;
                 return Some(ProtectedItem::Data {
                     addr,
                     write: self.write,
@@ -317,7 +326,7 @@ impl<I: TraceSource> Iterator for ProtectedStream<'_, I> {
                     }
                     self.flushed = true;
                     let metas = self.engine.flush();
-                    self.enqueue_metas(metas);
+                    self.enqueue_metas(&metas);
                     self.drain_pending();
                 }
             }
@@ -657,6 +666,70 @@ mod tests {
         );
         assert!(streamed.trace_buffer_bytes < 4096);
         assert!(materialized.trace_buffer_bytes > streamed.trace_buffer_bytes);
+    }
+
+    /// Every geometry `ablation` sweeps — BP metadata caches of 8–256 KiB
+    /// and GuardNN_CI MAC chunks of 64–4096 B — pinned on a small training
+    /// step as `[meta_bytes, reads, writes, row hits, row misses, row
+    /// conflicts, total cycles, exec_ns bits]`. The default-geometry suites
+    /// cannot see a change that only bites off the default (say, a MAC
+    /// line address that ignores `mac_chunk_bytes`).
+    #[rustfmt::skip]
+    const SWEPT_GEOMETRIES: [(&str, u64, [u64; 8]); 12] = [
+        ("BP", 8 << 10, [3263296, 147448, 66789, 214237, 2969, 3256, 625554, 4694990161446162238]),
+        ("BP", 16 << 10, [3165632, 146273, 66438, 212711, 2933, 3093, 617732, 4694954634908345490]),
+        ("BP", 32 << 10, [3163584, 146241, 66438, 212679, 2987, 3303, 620095, 4694973167692227730]),
+        ("BP", 64 << 10, [3161984, 146221, 66433, 212654, 2993, 3317, 620026, 4694977784782070930]),
+        ("BP", 128 << 10, [3155008, 146138, 66407, 212545, 2962, 3356, 623561, 4694988794214906345]),
+        ("BP", 256 << 10, [3155008, 146138, 66407, 212545, 3038, 3313, 621483, 4694971063158252690]),
+        ("GuardNN_CI", 64, [1252032, 123905, 58906, 182811, 1758, 639, 401622, 4693993237157473718]),
+        ("GuardNN_CI", 128, [624192, 117366, 55635, 173001, 1715, 565, 374892, 4693903200326391905]),
+        ("GuardNN_CI", 256, [312320, 114130, 53998, 168128, 1689, 491, 361895, 4693853486079940706]),
+        ("GuardNN_CI", 512, [156416, 112512, 53180, 165692, 1603, 496, 356781, 4693831001926146145]),
+        ("GuardNN_CI", 1024, [79104, 111708, 52776, 164484, 1568, 446, 352922, 4693823242351898039]),
+        ("GuardNN_CI", 4096, [16960, 111046, 52467, 163513, 1533, 259, 346151, 4693798617872734305]),
+    ];
+
+    #[test]
+    fn swept_geometries_are_pinned() {
+        use crate::baseline::MeeConfig;
+        use crate::guardnn::GuardNnConfig;
+        let plan = ExecutionPlan::training(&small_net(), 1);
+        let tb = TraceBuilder::new(ArrayConfig::test_small(), &plan);
+        for (scheme, bytes, expected) in SWEPT_GEOMETRIES {
+            let mut engine: Box<dyn ProtectionEngine> = if scheme == "BP" {
+                let cfg = MeeConfig {
+                    cache_bytes: bytes,
+                    ..MeeConfig::default()
+                };
+                Box::new(BaselineMee::new(tb.footprint(), cfg))
+            } else {
+                let cfg = GuardNnConfig {
+                    mac_chunk_bytes: bytes,
+                    ..GuardNnConfig::default()
+                };
+                Box::new(GuardNnEngine::new(tb.footprint(), cfg))
+            };
+            let s = run_protected_streaming(
+                tb.stream(&plan),
+                engine.as_mut(),
+                DramConfig::ddr4_2400_16gb(),
+                700,
+                ChannelMode::Serial,
+            );
+            let d = s.dram;
+            let got = [
+                s.meta_bytes,
+                d.reads,
+                d.writes,
+                d.row_hits,
+                d.row_misses,
+                d.row_conflicts,
+                d.total_cycles,
+                s.exec_ns.to_bits(),
+            ];
+            assert_eq!(got, expected, "{scheme} at {bytes} B");
+        }
     }
 
     #[test]

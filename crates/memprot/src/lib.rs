@@ -34,12 +34,12 @@
 //! let mut bp = BaselineMee::with_defaults(0x1000_0000);
 //! let mut gnn = GuardNnEngine::confidentiality_and_integrity(0x1000_0000);
 //! // Stream 1 MiB of feature writes through both engines.
-//! let (mut bp_meta, mut gnn_meta) = (0u64, 0u64);
+//! let (mut bp_meta, mut gnn_meta) = (Vec::new(), Vec::new());
 //! for block in 0..(1 << 20) / 64u64 {
-//!     bp_meta += bp.on_access(block * 64, true, guardnn_memprot::StreamClass::FeatureWrite).len() as u64;
-//!     gnn_meta += gnn.on_access(block * 64, true, guardnn_memprot::StreamClass::FeatureWrite).len() as u64;
+//!     bp.on_access(block * 64, true, guardnn_memprot::StreamClass::FeatureWrite, &mut bp_meta);
+//!     gnn.on_access(block * 64, true, guardnn_memprot::StreamClass::FeatureWrite, &mut gnn_meta);
 //! }
-//! assert!(gnn_meta < bp_meta / 4, "GuardNN must move far less metadata");
+//! assert!(gnn_meta.len() < bp_meta.len() / 4, "GuardNN must move far less metadata");
 //! ```
 
 #![deny(missing_docs)]
@@ -84,6 +84,19 @@ impl From<guardnn_systolic::Stream> for StreamClass {
     }
 }
 
+/// `log2(value)` of a geometry factor that must be a power of two.
+///
+/// # Panics
+///
+/// Panics, naming the factor `what`, if `value` is not a power of two.
+pub(crate) fn exact_log2(what: &str, value: u64) -> u32 {
+    assert!(
+        value.is_power_of_two(),
+        "{what} {value} is not a power of two"
+    );
+    value.trailing_zeros()
+}
+
 /// One metadata DRAM access generated by a protection engine.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MetaAccess {
@@ -96,7 +109,7 @@ pub struct MetaAccess {
 /// A memory-protection scheme's performance model.
 ///
 /// Engines receive every 64-byte data-block access the accelerator makes
-/// and return the metadata accesses the scheme adds. Engines with
+/// and append the metadata accesses the scheme adds. Engines with
 /// write-back caches emit the remaining dirty lines from
 /// [`ProtectionEngine::flush`].
 pub trait ProtectionEngine {
@@ -111,8 +124,16 @@ pub trait ProtectionEngine {
     /// can advance their on-chip counters (`CTR_F,W` et al.).
     fn on_pass_begin(&mut self) {}
 
-    /// Processes one 64-byte data-block access; returns metadata accesses.
-    fn on_access(&mut self, block_addr: u64, write: bool, stream: StreamClass) -> Vec<MetaAccess>;
+    /// Processes one 64-byte data-block access, appending the metadata
+    /// accesses it adds to `out` (the caller reuses one buffer across
+    /// blocks).
+    fn on_access(
+        &mut self,
+        block_addr: u64,
+        write: bool,
+        stream: StreamClass,
+        out: &mut Vec<MetaAccess>,
+    );
 
     /// Flushes dirty cached metadata at the end of a run.
     fn flush(&mut self) -> Vec<MetaAccess> {
@@ -165,11 +186,76 @@ mod engine_trait_tests {
         let mut names = Vec::new();
         for e in engines.iter_mut() {
             e.on_pass_begin();
-            let _ = e.on_access(0, true, StreamClass::FeatureWrite);
+            e.on_access(0, true, StreamClass::FeatureWrite, &mut Vec::new());
             let _ = e.flush();
             names.push(e.name());
         }
         assert_eq!(names, vec!["NP", "GuardNN_C", "GuardNN_CI", "BP"]);
+    }
+
+    /// Degenerate geometry is refused at construction, one row per field,
+    /// instead of hanging (`tree_arity: 1` never finishes laying out the
+    /// tree) or dividing by zero on the first access.
+    #[test]
+    fn degenerate_geometry_panics_in_new() {
+        use crate::baseline::MeeConfig;
+        use crate::guardnn::GuardNnConfig;
+        use std::panic::{catch_unwind, UnwindSafe};
+        fn assert_panics(expected: &str, build: impl FnOnce() + UnwindSafe) {
+            let err = catch_unwind(build).expect_err(expected);
+            let msg = err
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| err.downcast_ref::<&str>().copied())
+                .unwrap_or_default();
+            assert!(msg.contains(expected), "expected {expected:?}, got {msg:?}");
+        }
+        /// Expected panic message, and the edit that breaks a default config.
+        type Row<C> = (&'static str, fn(&mut C));
+        let mee: [Row<MeeConfig>; 9] = [
+            ("degenerate cache geometry", |c| c.cache_bytes = 0),
+            ("not a power of two", |c| c.cache_bytes = 48 << 10),
+            ("degenerate cache geometry", |c| c.cache_ways = 0),
+            ("blocks_per_vn_line 0", |c| c.blocks_per_vn_line = 0),
+            ("blocks_per_vn_line 6", |c| c.blocks_per_vn_line = 6),
+            ("blocks_per_mac_line 0", |c| c.blocks_per_mac_line = 0),
+            ("blocks_per_mac_line 3", |c| c.blocks_per_mac_line = 3),
+            ("tree_arity 0", |c| c.tree_arity = 0),
+            ("tree_arity 1", |c| c.tree_arity = 1),
+        ];
+        for (expected, edit) in mee {
+            let mut cfg = MeeConfig::default();
+            edit(&mut cfg);
+            assert_panics(expected, move || drop(BaselineMee::new(1 << 20, cfg)));
+        }
+        let gnn: [Row<GuardNnConfig>; 7] = [
+            ("mac_chunk_bytes 0", |c| c.mac_chunk_bytes = 0),
+            ("mac_chunk_bytes 768", |c| c.mac_chunk_bytes = 768),
+            ("mac_entry_bytes 0", |c| c.mac_entry_bytes = 0),
+            ("mac_entry_bytes 65", |c| c.mac_entry_bytes = 65),
+            ("entries per MAC line 21", |c| c.mac_entry_bytes = 3),
+            ("degenerate cache geometry", |c| c.mac_cache_bytes = 0),
+            ("not a power of two", |c| c.mac_cache_bytes = 3 << 10),
+        ];
+        for (expected, edit) in gnn {
+            let mut cfg = GuardNnConfig::default();
+            edit(&mut cfg);
+            assert_panics(expected, move || drop(GuardNnEngine::new(1 << 20, cfg)));
+        }
+        // The edges of each rule still build.
+        let edge = MeeConfig {
+            tree_arity: 2,
+            blocks_per_vn_line: 1,
+            blocks_per_mac_line: 1,
+            ..MeeConfig::default()
+        };
+        BaselineMee::new(1 << 20, edge);
+        let edge = GuardNnConfig {
+            mac_chunk_bytes: 1,
+            mac_entry_bytes: 64,
+            ..GuardNnConfig::default()
+        };
+        GuardNnEngine::new(1 << 20, edge);
     }
 
     /// Integrity labeling matches each scheme's construction.
@@ -187,18 +273,18 @@ mod engine_trait_tests {
         let data_bytes = 1u64 << 24;
         let mut bp = BaselineMee::with_defaults(data_bytes);
         let mut gnn = GuardNnEngine::confidentiality_and_integrity(data_bytes);
+        let (mut bp_meta, mut gnn_meta) = (Vec::new(), Vec::new());
         for block in (0..data_bytes).step_by(4096) {
-            for m in bp.on_access(block, block % 3 == 0, StreamClass::FeatureWrite) {
+            let write = block % 3 == 0;
+            bp.on_access(block, write, StreamClass::FeatureWrite, &mut bp_meta);
+            gnn.on_access(block, write, StreamClass::FeatureWrite, &mut gnn_meta);
+        }
+        for (name, metas) in [("BP", bp_meta), ("GuardNN", gnn_meta)] {
+            assert!(!metas.is_empty(), "{name} emitted no metadata");
+            for m in metas {
                 assert!(
                     m.addr >= data_bytes,
-                    "BP metadata at {:#x} aliases data",
-                    m.addr
-                );
-            }
-            for m in gnn.on_access(block, block % 3 == 0, StreamClass::FeatureWrite) {
-                assert!(
-                    m.addr >= data_bytes,
-                    "GuardNN metadata at {:#x} aliases data",
+                    "{name} metadata at {:#x} aliases data",
                     m.addr
                 );
             }

@@ -28,8 +28,8 @@ impl ProtectionEngine for NoProtection {
         _block_addr: u64,
         _write: bool,
         _stream: StreamClass,
-    ) -> Vec<MetaAccess> {
-        Vec::new()
+        _out: &mut Vec<MetaAccess>,
+    ) {
     }
 }
 
@@ -40,7 +40,9 @@ mod tests {
     #[test]
     fn emits_nothing() {
         let mut np = NoProtection::new();
-        assert!(np.on_access(0, true, StreamClass::FeatureWrite).is_empty());
+        let mut out = Vec::new();
+        np.on_access(0, true, StreamClass::FeatureWrite, &mut out);
+        assert!(out.is_empty());
         assert!(np.flush().is_empty());
         assert_eq!(np.name(), "NP");
         assert!(!np.protects_integrity());
