@@ -17,10 +17,31 @@ use std::hint::black_box;
 
 const FOOTPRINT: u64 = 1 << 30;
 
+/// Blocks per trace event in the engine benches: 4 KiB sweeps, every
+/// fourth of them a write.
+const EVENT_BLOCKS: u64 = 64;
+
+/// Streams the event sweep through `engine` one block at a time.
 fn stream_blocks(engine: &mut dyn ProtectionEngine, blocks: u64) -> usize {
     let mut meta = Vec::new();
     for b in 0..blocks {
-        engine.on_access(b * 64, b % 4 == 0, StreamClass::FeatureWrite, &mut meta);
+        let write = (b / EVENT_BLOCKS).is_multiple_of(4);
+        engine.on_access(b * 64, write, StreamClass::FeatureWrite, &mut meta);
+    }
+    meta.len() + engine.flush().len()
+}
+
+/// The same sweep driven as spans, the way the streaming harness drives
+/// the engines.
+fn stream_spans(engine: &mut dyn ProtectionEngine, blocks: u64) -> usize {
+    let mut meta = Vec::new();
+    for event in 0..blocks / EVENT_BLOCKS {
+        let write = event.is_multiple_of(4);
+        let end = (event + 1) * EVENT_BLOCKS;
+        let mut b = event * EVENT_BLOCKS;
+        while b < end {
+            b += engine.on_span(b * 64, end - b, write, StreamClass::FeatureWrite, &mut meta);
+        }
     }
     meta.len() + engine.flush().len()
 }
@@ -39,6 +60,18 @@ fn bench_engines(c: &mut Criterion) {
         b.iter(|| {
             let mut e = GuardNnEngine::confidentiality_and_integrity(FOOTPRINT);
             black_box(stream_blocks(&mut e, blocks))
+        })
+    });
+    g.bench_function("baseline_mee_4MiB_spans", |b| {
+        b.iter(|| {
+            let mut e = BaselineMee::with_defaults(FOOTPRINT);
+            black_box(stream_spans(&mut e, blocks))
+        })
+    });
+    g.bench_function("guardnn_ci_4MiB_spans", |b| {
+        b.iter(|| {
+            let mut e = GuardNnEngine::confidentiality_and_integrity(FOOTPRINT);
+            black_box(stream_spans(&mut e, blocks))
         })
     });
     g.finish();

@@ -49,5 +49,5 @@ pub use parallel::{
     with_channel_workers, with_channel_workers_observed, ChannelMode, ParallelDram,
 };
 pub use stats::DramStats;
-pub use system::{DramSink, DramSystem};
+pub use system::{block_range, DramSink, DramSystem};
 pub use tamper::{StreamFault, TamperingSink};

@@ -4,6 +4,29 @@ use crate::channel::{Channel, Request};
 use crate::config::DramConfig;
 use crate::stats::DramStats;
 use guardnn_obs::Recorder;
+use std::ops::Range;
+
+/// Indices of the `granule`-byte blocks that `[addr, addr + bytes)`
+/// touches: empty for zero bytes at any `addr`, otherwise from the block
+/// holding `addr` through the one holding the last byte.
+///
+/// # Example
+///
+/// ```
+/// use guardnn_dram::block_range;
+///
+/// assert_eq!(block_range(10, 100, 64), 0..2);
+/// assert!(block_range(10, 0, 64).is_empty());
+/// ```
+pub fn block_range(addr: u64, bytes: u64, granule: u64) -> Range<u64> {
+    let start = addr / granule;
+    let end = if bytes == 0 {
+        start
+    } else {
+        (addr + bytes).div_ceil(granule)
+    };
+    start..end
+}
 
 /// A destination for decoded DRAM transactions. Implemented by the inline
 /// [`DramSystem`] and by the per-channel-threaded
@@ -105,12 +128,11 @@ impl DramSystem {
         self.channels[channel].push(req);
     }
 
-    /// Enqueues a contiguous burst covering `[addr, addr + bytes)`.
+    /// Enqueues a contiguous burst covering `[addr, addr + bytes)` (no
+    /// access for zero bytes).
     pub fn access_range(&mut self, addr: u64, bytes: u64, is_write: bool) {
         let granule = self.cfg.access_bytes;
-        let start = addr / granule;
-        let end = (addr + bytes).div_ceil(granule);
-        for block in start..end {
+        for block in block_range(addr, bytes, granule) {
             self.access(block * granule, is_write);
         }
     }
@@ -298,6 +320,36 @@ mod tests {
         sys.access_range(10, 100, true); // spans blocks 0 and 1
         let stats = sys.finish();
         assert_eq!(stats.writes, 2);
+    }
+
+    /// `(addr, bytes, blocks touched)`: aligned and unaligned starts ×
+    /// lengths around one block. Zero bytes touch nothing, wherever they
+    /// start.
+    const RANGE_TABLE: [(u64, u64, u64); 10] = [
+        (128, 0, 0),
+        (128, 1, 1),
+        (128, 63, 1),
+        (128, 64, 1),
+        (128, 65, 2),
+        (130, 0, 0),
+        (130, 1, 1),
+        (130, 63, 2),
+        (130, 64, 2),
+        (130, 65, 2),
+    ];
+
+    #[test]
+    fn access_range_table() {
+        for (addr, bytes, blocks) in RANGE_TABLE {
+            assert_eq!(
+                block_range(addr, bytes, 64),
+                2..2 + blocks,
+                "{addr} + {bytes}"
+            );
+            let mut sys = DramSystem::new(DramConfig::test_single_channel());
+            sys.access_range(addr, bytes, false);
+            assert_eq!(sys.finish().reads, blocks, "{addr} + {bytes}");
+        }
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! BP's ~35% traffic and ~1.25× slowdown on DNNs.
 
 use crate::cache::MetaCache;
-use crate::{exact_log2, MetaAccess, ProtectionEngine, StreamClass, BLOCK_BYTES};
+use crate::{
+    blocks_to_boundary, exact_log2, MetaAccess, ProtectionEngine, StreamClass, BLOCK_BYTES,
+};
 
 /// Configuration of the MEE model.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -146,13 +148,14 @@ impl ProtectionEngine for BaselineMee {
         true
     }
 
-    fn on_access(
+    fn on_span(
         &mut self,
         block_addr: u64,
+        blocks: u64,
         write: bool,
         _stream: StreamClass,
         out: &mut Vec<MetaAccess>,
-    ) {
+    ) -> u64 {
         // Version-number line: read to build the counter, dirtied by writes
         // (the per-block counter increments).
         let vn_line_index = block_addr >> self.vn_line_shift;
@@ -173,6 +176,17 @@ impl ProtectionEngine for BaselineMee {
         // scratch, so the line is allocated dirty without a fetch.
         let mac_line = self.mac_line_addr(block_addr);
         self.cache.touch(mac_line, write, !write, out);
+        // The rest of the span inside both lines hits both — unless the
+        // tree walk or the MAC fill evicted the VN line (a small or
+        // low-associativity cache), in which case the next block misses.
+        let span = blocks
+            .min(blocks_to_boundary(block_addr, self.vn_line_shift))
+            .min(blocks_to_boundary(block_addr, self.mac_line_shift));
+        if span > 1 && self.cache.rehit([vn_line, mac_line], span - 1) {
+            span
+        } else {
+            1
+        }
     }
 
     fn flush(&mut self) -> Vec<MetaAccess> {

@@ -5,12 +5,13 @@
 //! what turns DNN streaming traffic into the ~35% metadata overhead the
 //! paper measures. GuardNN_CI reuses the same structure for MAC lines.
 //!
-//! Every simulated block passes through here, so the slots are one flat
+//! Every simulated span passes through here, so the slots are one flat
 //! array indexed by a power-of-two set mask, and a memo of the last two
-//! lines touched serves consecutive blocks of one line without a set
-//! scan — 64 blocks per GuardNN_CI MAC line, and 8 per BP VN and MAC line,
-//! which BP touches alternately — with the stamps, counts and eviction
-//! order of a plain scan.
+//! lines touched finds the lines a span touches — one GuardNN_CI MAC line,
+//! or the VN and MAC lines BP touches alternately — without a set scan.
+//! [`MetaCache::rehit`] then charges the rest of a span's guaranteed hits
+//! in one step, with the stamps, counts and eviction order of touching
+//! every block.
 
 use crate::{exact_log2, MetaAccess};
 
@@ -127,27 +128,36 @@ impl MetaCache {
         res.hit
     }
 
+    /// Slot holding `line_addr`, if resident, trying the memo first.
+    fn lookup(&self, line_addr: u64) -> Option<usize> {
+        let [recent, older] = self.memo;
+        if recent.0 == line_addr {
+            Some(recent.1)
+        } else if older.0 == line_addr {
+            Some(older.1)
+        } else {
+            self.find(line_addr)
+        }
+    }
+
+    /// Marks `slot` (holding `line_addr`) as the most recently touched line.
+    fn remember(&mut self, line_addr: u64, slot: usize) {
+        if self.memo[0].0 != line_addr {
+            self.memo = [(line_addr, slot), self.memo[0]];
+        }
+    }
+
     /// Accesses the line containing `addr`; `write` marks it dirty.
     /// Returns hit/miss and any dirty write-back the fill victimized.
     pub fn access(&mut self, addr: u64, write: bool) -> CacheAccess {
         self.accesses += 1;
         let stamp = self.accesses;
         let line_addr = addr & !63;
-        let [recent, older] = self.memo;
-        let hit_slot = if recent.0 == line_addr {
-            Some(recent.1)
-        } else if older.0 == line_addr {
-            Some(older.1)
-        } else {
-            self.find(line_addr)
-        };
-        if let Some(slot) = hit_slot {
+        if let Some(slot) = self.lookup(line_addr) {
             let line = &mut self.slots[slot];
             line.used = stamp;
             line.dirty |= write;
-            if recent.0 != line_addr {
-                self.memo = [(line_addr, slot), recent];
-            }
+            self.remember(line_addr, slot);
             return CacheAccess {
                 hit: true,
                 writeback: None,
@@ -182,6 +192,31 @@ impl MetaCache {
             hit: false,
             writeback: victim.dirty.then_some(victim.tag),
         }
+    }
+
+    /// Replays `rounds` more rounds of read hits on the resident lines
+    /// `line_addrs`, touched in order each round — the access count and
+    /// LRU stamps `rounds × N` [`MetaCache::access`] hits would leave,
+    /// in O(N). (A hit changes nothing else: a line the caller just
+    /// touched with the same write flag already carries its dirty bit.)
+    /// Returns false, changing nothing, if any line is not resident.
+    pub fn rehit<const N: usize>(&mut self, line_addrs: [u64; N], rounds: u64) -> bool {
+        let mut slots = [0; N];
+        for (slot, &line_addr) in slots.iter_mut().zip(&line_addrs) {
+            match self.lookup(line_addr) {
+                Some(s) => *slot = s,
+                None => return false,
+            }
+        }
+        if rounds == 0 {
+            return true;
+        }
+        self.accesses += rounds * N as u64;
+        for (i, (&slot, &line_addr)) in slots.iter().zip(&line_addrs).enumerate() {
+            self.slots[slot].used = self.accesses - (N - 1 - i) as u64;
+            self.remember(line_addr, slot);
+        }
+        true
     }
 
     /// Returns true if the line containing `addr` is resident (no state
@@ -323,9 +358,12 @@ mod tests {
 
         /// Each word is one access: bits 0–3 pick one of 16 lines (enough to
         /// overflow every geometry), bits 8–13 the byte within the line,
-        /// bit 16 write vs read. Every access must agree with the oracle on
-        /// hit, write-back, residency and miss rate; a mid-stream and a
-        /// final flush must agree on the exact order.
+        /// bit 16 write vs read. Bits 20–21 then replay 0–3 rounds of hits
+        /// on this line and the one before it through `rehit`, which the
+        /// oracle sees as that many plain read accesses — or as nothing,
+        /// when either line was evicted. Every step must agree with the
+        /// oracle on hit, write-back, residency and miss rate; a
+        /// mid-stream and a final flush must agree on the exact order.
         #[test]
         fn flat_cache_matches_per_set_oracle(
             geometry in prop::sample::select(vec![
@@ -338,10 +376,21 @@ mod tests {
             let (capacity, ways) = geometry;
             let mut flat = MetaCache::new(capacity, ways);
             let mut oracle = OracleCache::new(capacity, ways);
+            let mut prev_line = 0;
             for (i, &w) in words.iter().enumerate() {
                 let addr = (w & 15) * 64 + ((w >> 8) & 63);
                 let write = w >> 16 & 1 == 1;
                 prop_assert_eq!(flat.access(addr, write), oracle.access(addr, write));
+                let lines = [prev_line, addr & !63];
+                let rounds = w >> 20 & 3;
+                let resident = lines.iter().all(|&l| oracle.contains(l));
+                prop_assert_eq!(flat.rehit(lines, rounds), resident);
+                for _ in 0..rounds * resident as u64 {
+                    for line in lines {
+                        prop_assert!(oracle.access(line, false).hit);
+                    }
+                }
+                prev_line = addr & !63;
                 for line in 0..16 {
                     prop_assert_eq!(flat.contains(line * 64), oracle.contains(line * 64));
                 }

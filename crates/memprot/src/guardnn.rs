@@ -41,7 +41,9 @@
 
 use crate::cache::MetaCache;
 use crate::vn::VersionCounters;
-use crate::{exact_log2, MetaAccess, ProtectionEngine, StreamClass, BLOCK_BYTES};
+use crate::{
+    blocks_to_boundary, exact_log2, MetaAccess, ProtectionEngine, StreamClass, BLOCK_BYTES,
+};
 
 /// Protection level.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -171,23 +173,30 @@ impl ProtectionEngine for GuardNnEngine {
         guardnn_obs::Recorder::global().add("memprot.vn_advances", 1);
     }
 
-    fn on_access(
+    fn on_span(
         &mut self,
         block_addr: u64,
+        blocks: u64,
         write: bool,
-        stream: StreamClass,
+        _stream: StreamClass,
         out: &mut Vec<MetaAccess>,
-    ) {
+    ) -> u64 {
         // Encryption costs no traffic: the counter block is (address, VN)
         // with the VN from on-chip state.
-        let _ = stream;
         if self.cfg.protection == Protection::ConfidentialityOnly {
-            return;
+            return blocks;
         }
         // Integrity: touch the MAC line for this chunk. Writes recompute
-        // the MAC, so they allocate without fetching.
+        // the MAC, so they allocate without fetching. The line is then
+        // resident, so the rest of the span inside it only hits.
         let mac_line = self.mac_line_addr(block_addr);
         self.mac_cache.touch(mac_line, write, !write, out);
+        let span = blocks.min(blocks_to_boundary(block_addr, self.mac_line_shift));
+        if span > 1 && self.mac_cache.rehit([mac_line], span - 1) {
+            span
+        } else {
+            1
+        }
     }
 
     fn flush(&mut self) -> Vec<MetaAccess> {

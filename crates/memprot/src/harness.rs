@@ -8,22 +8,23 @@
 //! by differential tests:
 //!
 //! * [`run_protected`] — the materialized oracle: consumes a fully built
-//!   [`PlanTrace`] slice.
-//! * [`run_protected_streaming`] — the production path: pulls a
-//!   [`TraceSource`] (e.g. [`guardnn_systolic::TraceStream`]) through a
-//!   [`ProtectedStream`] adapter that interleaves the engine's metadata
-//!   accesses into the event stream, and ingests the result into the DDR4
-//!   model — optionally with one worker thread per DRAM channel
-//!   ([`ChannelMode::Threaded`]). Peak memory is O(1) in the trace length.
+//!   [`PlanTrace`] slice and drives the engine one 64-byte block at a
+//!   time.
+//! * [`run_protected_streaming`] — the production path: one loop pushes a
+//!   [`TraceSource`] (e.g. [`guardnn_systolic::TraceStream`]) through the
+//!   engine into the DDR4 model, handing the engine each event as spans of
+//!   blocks ([`ProtectionEngine::on_span`]) and issuing its metadata
+//!   behind the span's first block — optionally with one worker thread per
+//!   DRAM channel ([`ChannelMode::Threaded`]). Peak memory is O(1) in the
+//!   trace length.
 
 use crate::{MetaAccess, ProtectionEngine, BLOCK_BYTES};
 use guardnn_dram::{
-    with_channel_workers_observed, ChannelMode, DramConfig, DramSink, DramStats, DramSystem,
+    block_range, with_channel_workers_observed, ChannelMode, DramConfig, DramSink, DramStats,
+    DramSystem,
 };
 use guardnn_obs::Recorder;
-use guardnn_systolic::trace::PassPerf;
 use guardnn_systolic::{PlanTrace, TraceItem, TraceSource};
-use std::collections::VecDeque;
 
 /// Result of one protected run.
 #[derive(Clone, Debug)]
@@ -70,33 +71,52 @@ impl RunSummary {
 /// turnaround per line.
 const META_WRITE_BATCH: usize = 32;
 
-/// Issues the engine's metadata accesses: reads go to DRAM immediately
-/// (they gate decryption), writes are coalesced into sorted batches.
-fn issue_meta<S: DramSink>(
-    dram: &mut S,
-    metas: &[MetaAccess],
-    meta_bytes: &mut u64,
-    pending_writes: &mut Vec<u64>,
-) {
-    for m in metas {
-        *meta_bytes += BLOCK_BYTES;
-        if m.write {
-            pending_writes.push(m.addr);
-            if pending_writes.len() >= META_WRITE_BATCH {
-                drain_writes(dram, pending_writes);
+/// The engine's metadata accesses on their way to DRAM: reads go out
+/// immediately (they gate decryption), writes are coalesced into sorted
+/// batches.
+#[derive(Default)]
+struct MetaIssuer {
+    pending_writes: Vec<u64>,
+    /// Metadata reads and writes issued so far.
+    reads: u64,
+    writes: u64,
+}
+
+impl MetaIssuer {
+    fn issue<S: DramSink>(&mut self, dram: &mut S, metas: &[MetaAccess]) {
+        for m in metas {
+            if m.write {
+                self.writes += 1;
+                self.pending_writes.push(m.addr);
+                if self.pending_writes.len() >= META_WRITE_BATCH {
+                    self.drain(dram);
+                }
+            } else {
+                self.reads += 1;
+                dram.access(m.addr, false);
             }
-        } else {
-            dram.access(m.addr, false);
         }
+    }
+
+    /// Drains the buffered write-backs in address order.
+    fn drain<S: DramSink>(&mut self, dram: &mut S) {
+        self.pending_writes.sort_unstable();
+        for addr in self.pending_writes.drain(..) {
+            dram.access(addr, true);
+        }
+    }
+
+    fn bytes(&self) -> u64 {
+        (self.reads + self.writes) * BLOCK_BYTES
     }
 }
 
-/// Drains the buffered metadata write-backs in address order.
-fn drain_writes<S: DramSink>(dram: &mut S, pending_writes: &mut Vec<u64>) {
-    pending_writes.sort_unstable();
-    for addr in pending_writes.drain(..) {
-        dram.access(addr, true);
-    }
+/// Wall time of one pass under double buffering: the max of its compute
+/// time and its `mem_cycles` of DRAM time.
+fn pass_ns(mem_cycles: u64, compute_cycles: u64, dram_cfg: DramConfig, accel_mhz: u64) -> f64 {
+    let mem_ns = mem_cycles as f64 * (1e3 / dram_cfg.clock_mhz as f64);
+    let compute_ns = compute_cycles as f64 * (1e3 / accel_mhz as f64);
+    mem_ns.max(compute_ns)
 }
 
 /// Runs `trace` under `engine` against the DDR4 model `dram_cfg`, with the
@@ -111,7 +131,9 @@ fn drain_writes<S: DramSink>(dram: &mut S, pending_writes: &mut Vec<u64>) {
 ///
 /// This is the materialized differential oracle for
 /// [`run_protected_streaming`], which produces bit-identical results
-/// without ever holding the trace.
+/// without ever holding the trace. It drives the engine one block at a
+/// time ([`ProtectionEngine::on_access`]), so it also pins the engines'
+/// span coverage.
 pub fn run_protected(
     trace: &PlanTrace,
     engine: &mut dyn ProtectionEngine,
@@ -119,314 +141,50 @@ pub fn run_protected(
     accel_mhz: u64,
 ) -> RunSummary {
     let mut dram = DramSystem::new(dram_cfg);
-    let mut data_bytes = 0u64;
-    let mut meta_bytes = 0u64;
-    let mut exec_ns = 0.0f64;
-    let mut prev_cycles = 0u64;
-    let mut event_idx = 0usize;
-    let mut pending_writes: Vec<u64> = Vec::with_capacity(META_WRITE_BATCH);
+    let mut meta = MetaIssuer::default();
     let mut metas = Vec::new();
-
-    let dram_ns_per_cycle = 1e3 / dram_cfg.clock_mhz as f64;
-    let accel_ns_per_cycle = 1e3 / accel_mhz as f64;
+    let mut data_bytes = 0u64;
+    let mut exec_ns = 0.0;
+    let mut prev_cycles = 0;
+    let mut events = trace.events().iter().peekable();
 
     for (pass_idx, pass_perf) in trace.passes().iter().enumerate() {
         engine.on_pass_begin();
-        while event_idx < trace.events().len() && trace.events()[event_idx].pass == pass_idx {
-            let ev = trace.events()[event_idx];
-            let start_block = ev.addr / BLOCK_BYTES;
-            let end_block = (ev.addr + ev.bytes).div_ceil(BLOCK_BYTES);
-            for block in start_block..end_block {
+        while let Some(ev) = events.next_if(|ev| ev.pass == pass_idx) {
+            for block in block_range(ev.addr, ev.bytes, BLOCK_BYTES) {
                 let addr = block * BLOCK_BYTES;
                 dram.access(addr, ev.write);
                 data_bytes += BLOCK_BYTES;
                 metas.clear();
                 engine.on_access(addr, ev.write, ev.stream.into(), &mut metas);
-                issue_meta(&mut dram, &metas, &mut meta_bytes, &mut pending_writes);
+                meta.issue(&mut dram, &metas);
             }
-            event_idx += 1;
         }
         // Close out the pass: drain writes, checkpoint DRAM time.
-        drain_writes(&mut dram, &mut pending_writes);
-        let stats = dram.drain_stats();
-        let mem_cycles = stats.total_cycles - prev_cycles;
-        prev_cycles = stats.total_cycles;
-        let mem_ns = mem_cycles as f64 * dram_ns_per_cycle;
-        let compute_ns = pass_perf.compute_cycles as f64 * accel_ns_per_cycle;
-        exec_ns += mem_ns.max(compute_ns);
+        meta.drain(&mut dram);
+        let cycles = dram.drain_stats().total_cycles;
+        exec_ns += pass_ns(
+            cycles - prev_cycles,
+            pass_perf.compute_cycles,
+            dram_cfg,
+            accel_mhz,
+        );
+        prev_cycles = cycles;
     }
 
     // End-of-run metadata write-back.
-    let metas = engine.flush();
-    issue_meta(&mut dram, &metas, &mut meta_bytes, &mut pending_writes);
-    drain_writes(&mut dram, &mut pending_writes);
+    meta.issue(&mut dram, &engine.flush());
+    meta.drain(&mut dram);
     let stats = dram.drain_stats();
-    exec_ns += (stats.total_cycles - prev_cycles) as f64 * dram_ns_per_cycle;
-    let merged = stats;
-
+    exec_ns += pass_ns(stats.total_cycles - prev_cycles, 0, dram_cfg, accel_mhz);
     RunSummary {
         scheme: engine.name(),
         data_bytes,
-        meta_bytes,
-        dram: merged,
+        meta_bytes: meta.bytes(),
+        dram: stats,
         compute_cycles: trace.total_compute_cycles(),
         exec_ns,
         trace_buffer_bytes: trace.buffer_bytes(),
-    }
-}
-
-/// One item of a protected access stream: a data block, a metadata access
-/// the engine interleaved, or a pass boundary.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ProtectedItem {
-    /// A 64-byte data-block access of the accelerator.
-    Data {
-        /// Block-aligned address.
-        addr: u64,
-        /// Write (true) or read (false).
-        write: bool,
-    },
-    /// A metadata access the protection engine added.
-    Meta {
-        /// Metadata address.
-        addr: u64,
-        /// Write (true) or read (false).
-        write: bool,
-    },
-    /// All accesses of pass `pass` have been yielded.
-    PassEnd {
-        /// Index of the completed pass.
-        pass: usize,
-        /// The pass's performance record.
-        perf: PassPerf,
-    },
-}
-
-/// Iterator adapter that pulls a trace stream *through* a protection
-/// engine: every event is expanded into 64-byte block accesses, the
-/// engine's metadata accesses are interleaved behind each block (reads
-/// inline, writes coalesced into sorted 32-entry batches), pass
-/// boundaries drain the write buffer, and the engine's
-/// end-of-run [`ProtectionEngine::flush`] is appended after the source is
-/// exhausted. This is how the streaming pipeline protects a trace without
-/// ever seeing it as a slice; its output access order is bit-identical to
-/// what [`run_protected`] issues.
-pub struct ProtectedStream<'e, I> {
-    inner: I,
-    engine: &'e mut dyn ProtectionEngine,
-    /// Items ready to yield (metadata behind the current block, drained
-    /// write batches, pass boundaries). Bounded by one write batch plus a
-    /// few per-block metadata accesses — O(1).
-    queue: VecDeque<ProtectedItem>,
-    /// Remaining blocks of the event being expanded.
-    blocks: std::ops::Range<u64>,
-    write: bool,
-    stream: crate::StreamClass,
-    /// The engine's metadata accesses for the current block (reused).
-    metas: Vec<MetaAccess>,
-    pending_writes: Vec<u64>,
-    /// Whether `on_pass_begin` has run for the pass in progress.
-    pass_started: bool,
-    /// Whether the end-of-run flush has been appended.
-    flushed: bool,
-}
-
-impl<'e, I: TraceSource> ProtectedStream<'e, I> {
-    /// Wraps `inner`, interleaving `engine`'s metadata accesses.
-    pub fn new(inner: I, engine: &'e mut dyn ProtectionEngine) -> Self {
-        Self {
-            inner,
-            engine,
-            queue: VecDeque::new(),
-            blocks: 0..0,
-            write: false,
-            stream: crate::StreamClass::FeatureRead,
-            metas: Vec::new(),
-            pending_writes: Vec::with_capacity(META_WRITE_BATCH),
-            pass_started: false,
-            flushed: false,
-        }
-    }
-
-    /// Peak bytes of trace data the underlying source buffers.
-    pub fn source_buffer_bytes(&self) -> u64 {
-        self.inner.buffer_bytes()
-    }
-
-    fn enqueue_metas(&mut self, metas: &[MetaAccess]) {
-        for &m in metas {
-            if m.write {
-                self.pending_writes.push(m.addr);
-                if self.pending_writes.len() >= META_WRITE_BATCH {
-                    self.drain_pending();
-                }
-            } else {
-                self.queue.push_back(ProtectedItem::Meta {
-                    addr: m.addr,
-                    write: false,
-                });
-            }
-        }
-    }
-
-    fn drain_pending(&mut self) {
-        self.pending_writes.sort_unstable();
-        for addr in self.pending_writes.drain(..) {
-            self.queue
-                .push_back(ProtectedItem::Meta { addr, write: true });
-        }
-    }
-}
-
-impl<I: TraceSource> Iterator for ProtectedStream<'_, I> {
-    type Item = ProtectedItem;
-
-    fn next(&mut self) -> Option<ProtectedItem> {
-        loop {
-            if let Some(item) = self.queue.pop_front() {
-                return Some(item);
-            }
-            if let Some(block) = self.blocks.next() {
-                let addr = block * BLOCK_BYTES;
-                let mut metas = std::mem::take(&mut self.metas);
-                metas.clear();
-                self.engine
-                    .on_access(addr, self.write, self.stream, &mut metas);
-                self.enqueue_metas(&metas);
-                self.metas = metas;
-                return Some(ProtectedItem::Data {
-                    addr,
-                    write: self.write,
-                });
-            }
-            match self.inner.next() {
-                Some(TraceItem::Event(ev)) => {
-                    if !self.pass_started {
-                        self.engine.on_pass_begin();
-                        self.pass_started = true;
-                    }
-                    self.blocks =
-                        (ev.addr / BLOCK_BYTES)..(ev.addr + ev.bytes).div_ceil(BLOCK_BYTES);
-                    self.write = ev.write;
-                    self.stream = ev.stream.into();
-                }
-                Some(TraceItem::PassEnd { pass, perf }) => {
-                    // An empty pass still begins (engines advance per-pass
-                    // counters in `on_pass_begin`).
-                    if !self.pass_started {
-                        self.engine.on_pass_begin();
-                    }
-                    self.pass_started = false;
-                    self.drain_pending();
-                    self.queue.push_back(ProtectedItem::PassEnd { pass, perf });
-                }
-                None => {
-                    if self.flushed {
-                        return None;
-                    }
-                    self.flushed = true;
-                    let metas = self.engine.flush();
-                    self.enqueue_metas(&metas);
-                    self.drain_pending();
-                }
-            }
-        }
-    }
-}
-
-/// Accumulated outcome of ingesting a protected stream into a DRAM sink.
-struct IngestOutcome {
-    data_bytes: u64,
-    meta_bytes: u64,
-    compute_cycles: u64,
-    exec_ns: f64,
-    dram: DramStats,
-}
-
-/// Feeds a protected access stream into `dram`, checkpointing DRAM time at
-/// every pass boundary (the same per-pass `max(compute, memory)` timing as
-/// [`run_protected`]).
-fn ingest<S: DramSink>(
-    protected: &mut dyn Iterator<Item = ProtectedItem>,
-    dram: &mut S,
-    dram_cfg: DramConfig,
-    accel_mhz: u64,
-    rec: &Recorder,
-) -> IngestOutcome {
-    let mut data_bytes = 0u64;
-    let mut meta_bytes = 0u64;
-    let mut compute_cycles = 0u64;
-    let mut exec_ns = 0.0f64;
-    let mut prev_cycles = 0u64;
-    let dram_ns_per_cycle = 1e3 / dram_cfg.clock_mhz as f64;
-    let accel_ns_per_cycle = 1e3 / accel_mhz as f64;
-    // Pass-local protection-traffic tallies: plain adds on the hot path,
-    // exported (counters + one journal event) only at pass boundaries
-    // and only when the recorder is enabled.
-    let observe = rec.is_enabled();
-    let mut pass_data = 0u64;
-    let mut pass_meta_reads = 0u64;
-    let mut pass_meta_writes = 0u64;
-
-    for item in protected {
-        match item {
-            ProtectedItem::Data { addr, write } => {
-                dram.access(addr, write);
-                data_bytes += BLOCK_BYTES;
-                pass_data += 1;
-            }
-            ProtectedItem::Meta { addr, write } => {
-                dram.access(addr, write);
-                meta_bytes += BLOCK_BYTES;
-                if write {
-                    pass_meta_writes += 1;
-                } else {
-                    pass_meta_reads += 1;
-                }
-            }
-            ProtectedItem::PassEnd { pass, perf } => {
-                let stats = dram.drain_stats();
-                let mem_cycles = stats.total_cycles - prev_cycles;
-                prev_cycles = stats.total_cycles;
-                let mem_ns = mem_cycles as f64 * dram_ns_per_cycle;
-                let compute_ns = perf.compute_cycles as f64 * accel_ns_per_cycle;
-                exec_ns += mem_ns.max(compute_ns);
-                compute_cycles += perf.compute_cycles;
-                if observe {
-                    rec.add("memprot.blocks_data", pass_data);
-                    rec.add("memprot.meta_reads", pass_meta_reads);
-                    rec.add("memprot.meta_writes", pass_meta_writes);
-                    rec.event(
-                        "memprot.pass",
-                        &[
-                            ("pass", &pass.to_string()),
-                            ("data_blocks", &pass_data.to_string()),
-                            ("meta_reads", &pass_meta_reads.to_string()),
-                            ("meta_writes", &pass_meta_writes.to_string()),
-                            ("mem_cycles", &mem_cycles.to_string()),
-                        ],
-                    );
-                }
-                pass_data = 0;
-                pass_meta_reads = 0;
-                pass_meta_writes = 0;
-            }
-        }
-    }
-    // End-of-run tail: the engine's flushed write-backs.
-    let stats = dram.drain_stats();
-    exec_ns += (stats.total_cycles - prev_cycles) as f64 * dram_ns_per_cycle;
-    if observe {
-        rec.add("memprot.blocks_data", pass_data);
-        rec.add("memprot.meta_reads", pass_meta_reads);
-        rec.add("memprot.meta_writes", pass_meta_writes);
-    }
-    IngestOutcome {
-        data_bytes,
-        meta_bytes,
-        compute_cycles,
-        exec_ns,
-        dram: stats,
     }
 }
 
@@ -455,10 +213,10 @@ pub fn run_protected_streaming<I: TraceSource>(
 }
 
 /// [`run_protected_streaming`] with an explicit metrics recorder: DRAM
-/// channels report per-channel scheduler series and the ingest loop
-/// reports per-pass protection traffic. The recorder observes and never
-/// steers, so the returned [`RunSummary`] is bit-identical to the
-/// unobserved run (pinned by the `obs_differential` suite).
+/// channels report per-channel scheduler series and the driver reports
+/// per-pass protection traffic. The recorder observes and never steers,
+/// so the returned [`RunSummary`] is bit-identical to the unobserved run
+/// (pinned by the `obs_differential` suite).
 pub fn run_protected_streaming_observed<I: TraceSource>(
     trace: I,
     engine: &mut dyn ProtectionEngine,
@@ -497,26 +255,117 @@ pub fn run_protected_streaming_into<I: TraceSource, S: DramSink>(
     stream_into(trace, engine, dram, dram_cfg, accel_mhz, Recorder::global())
 }
 
-/// Shared body of the streaming entry points above.
+/// Adds the protection traffic since the previous export — data blocks,
+/// metadata reads, metadata writes, out of running `totals` — to the
+/// `memprot.*` counters, and returns it.
+fn export_traffic(rec: &Recorder, totals: [u64; 3], exported: &mut [u64; 3]) -> [u64; 3] {
+    let [data, reads, writes] = std::array::from_fn(|i| totals[i] - exported[i]);
+    *exported = totals;
+    rec.add("memprot.blocks_data", data);
+    rec.add("memprot.meta_reads", reads);
+    rec.add("memprot.meta_writes", writes);
+    [data, reads, writes]
+}
+
+/// Shared body of the streaming entry points above: one push loop over the
+/// trace. Each event becomes a run of blocks, handed to the engine as
+/// spans ([`ProtectionEngine::on_span`]); each span issues its first data
+/// block, the metadata behind it, then the data blocks the engine covered
+/// without metadata — the access order [`run_protected`] issues block by
+/// block. Pass boundaries drain the write batch and checkpoint DRAM time;
+/// the engine's end-of-run [`ProtectionEngine::flush`] follows the last
+/// pass.
 fn stream_into<I: TraceSource, S: DramSink>(
-    trace: I,
+    mut trace: I,
     engine: &mut dyn ProtectionEngine,
     dram: &mut S,
     dram_cfg: DramConfig,
     accel_mhz: u64,
     rec: &Recorder,
 ) -> RunSummary {
-    let scheme = engine.name();
-    let mut protected = ProtectedStream::new(trace, engine);
-    let outcome = ingest(&mut protected, dram, dram_cfg, accel_mhz, rec);
+    let mut meta = MetaIssuer::default();
+    let mut metas = Vec::new();
+    let mut data_blocks = 0u64;
+    let mut compute_cycles = 0u64;
+    let mut exec_ns = 0.0;
+    let mut prev_cycles = 0;
+    // Whether `on_pass_begin` has run for the pass in progress.
+    let mut pass_started = false;
+    // Traffic already exported to the recorder, when it is enabled.
+    let observe = rec.is_enabled();
+    let mut exported = [0u64; 3];
+
+    for item in trace.by_ref() {
+        match item {
+            TraceItem::Event(ev) => {
+                if !pass_started {
+                    engine.on_pass_begin();
+                    pass_started = true;
+                }
+                let stream = ev.stream.into();
+                let blocks = block_range(ev.addr, ev.bytes, BLOCK_BYTES);
+                let mut block = blocks.start;
+                while block < blocks.end {
+                    metas.clear();
+                    let addr = block * BLOCK_BYTES;
+                    let covered =
+                        engine.on_span(addr, blocks.end - block, ev.write, stream, &mut metas);
+                    dram.access(addr, ev.write);
+                    meta.issue(dram, &metas);
+                    for b in block + 1..block + covered {
+                        dram.access(b * BLOCK_BYTES, ev.write);
+                    }
+                    block += covered;
+                }
+                data_blocks += blocks.end - blocks.start;
+            }
+            TraceItem::PassEnd { pass, perf } => {
+                // An empty pass still begins (engines advance per-pass
+                // counters in `on_pass_begin`).
+                if !pass_started {
+                    engine.on_pass_begin();
+                }
+                pass_started = false;
+                meta.drain(dram);
+                let cycles = dram.drain_stats().total_cycles;
+                let mem_cycles = cycles - prev_cycles;
+                prev_cycles = cycles;
+                exec_ns += pass_ns(mem_cycles, perf.compute_cycles, dram_cfg, accel_mhz);
+                compute_cycles += perf.compute_cycles;
+                if observe {
+                    let totals = [data_blocks, meta.reads, meta.writes];
+                    let [data, reads, writes] = export_traffic(rec, totals, &mut exported);
+                    rec.event(
+                        "memprot.pass",
+                        &[
+                            ("pass", &pass.to_string()),
+                            ("data_blocks", &data.to_string()),
+                            ("meta_reads", &reads.to_string()),
+                            ("meta_writes", &writes.to_string()),
+                            ("mem_cycles", &mem_cycles.to_string()),
+                        ],
+                    );
+                }
+            }
+        }
+    }
+
+    // End-of-run tail: the engine's flushed write-backs.
+    meta.issue(dram, &engine.flush());
+    meta.drain(dram);
+    let stats = dram.drain_stats();
+    exec_ns += pass_ns(stats.total_cycles - prev_cycles, 0, dram_cfg, accel_mhz);
+    if observe {
+        export_traffic(rec, [data_blocks, meta.reads, meta.writes], &mut exported);
+    }
     RunSummary {
-        scheme,
-        data_bytes: outcome.data_bytes,
-        meta_bytes: outcome.meta_bytes,
-        dram: outcome.dram,
-        compute_cycles: outcome.compute_cycles,
-        exec_ns: outcome.exec_ns,
-        trace_buffer_bytes: protected.source_buffer_bytes(),
+        scheme: engine.name(),
+        data_bytes: data_blocks * BLOCK_BYTES,
+        meta_bytes: meta.bytes(),
+        dram: stats,
+        compute_cycles,
+        exec_ns,
+        trace_buffer_bytes: trace.buffer_bytes(),
     }
 }
 
@@ -732,35 +581,143 @@ mod tests {
         }
     }
 
+    /// What a [`DramSink`] saw, in order.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    enum Seen {
+        Access { addr: u64, write: bool },
+        Drain,
+    }
+
+    /// A sink that records every call and schedules nothing.
+    #[derive(Default)]
+    struct RecordingSink {
+        seen: Vec<Seen>,
+        stats: DramStats,
+    }
+
+    impl DramSink for RecordingSink {
+        fn access(&mut self, addr: u64, write: bool) {
+            self.seen.push(Seen::Access { addr, write });
+            if write {
+                self.stats.writes += 1;
+            } else {
+                self.stats.reads += 1;
+            }
+        }
+
+        fn drain_stats(&mut self) -> DramStats {
+            self.seen.push(Seen::Drain);
+            self.stats
+        }
+    }
+
     #[test]
     fn protected_stream_interleaves_meta_behind_data() {
-        // BP fetches metadata for every block; the adapter must yield the
-        // data access first, its metadata behind it, and a PassEnd per
-        // pass.
+        // BP fetches metadata for every block; the driver must issue the
+        // data access first, its metadata behind it, and checkpoint the
+        // DRAM once per pass plus once at the end of the run. Metadata
+        // lives above the data footprint.
         let net = Network::new("t", vec![fc("f1", 1, 64, 32)]);
         let plan = ExecutionPlan::inference(&net);
         let tb = TraceBuilder::new(ArrayConfig::test_small(), &plan);
-        let mut engine = BaselineMee::with_defaults(1 << 30);
-        let items: Vec<ProtectedItem> =
-            ProtectedStream::new(tb.stream(&plan), &mut engine).collect();
-        assert!(matches!(items[0], ProtectedItem::Data { .. }));
-        assert!(items
+        let footprint = 1 << 30;
+        let mut engine = BaselineMee::with_defaults(footprint);
+        let mut sink = RecordingSink::default();
+        let cfg = DramConfig::ddr4_2400_16gb();
+        run_protected_streaming_into(tb.stream(&plan), &mut engine, &mut sink, cfg, 700);
+        let seen = sink.seen;
+        let is_meta = |s: &Seen| matches!(s, Seen::Access { addr, .. } if *addr >= footprint);
+        assert!(matches!(seen[0], Seen::Access { addr, .. } if addr < footprint));
+        assert!(seen.iter().any(is_meta));
+        let drains: Vec<usize> = (0..seen.len())
+            .filter(|&i| seen[i] == Seen::Drain)
+            .collect();
+        assert_eq!(drains.len(), plan.passes().len() + 1);
+        // The last pass boundary is followed only by the end-of-run flush's
+        // metadata write-backs and the final checkpoint.
+        let last_boundary = drains[drains.len() - 2];
+        assert_eq!(*drains.last().unwrap(), seen.len() - 1);
+        assert!(seen[last_boundary + 1..seen.len() - 1]
             .iter()
-            .any(|i| matches!(i, ProtectedItem::Meta { .. })));
-        let boundaries = items
-            .iter()
-            .filter(|i| matches!(i, ProtectedItem::PassEnd { .. }))
-            .count();
-        assert_eq!(boundaries, plan.passes().len());
-        // The boundary is last (after the end-of-run flush there are only
-        // metadata write-backs).
-        let last_boundary = items
-            .iter()
-            .rposition(|i| matches!(i, ProtectedItem::PassEnd { .. }))
-            .unwrap();
-        assert!(items[last_boundary..]
-            .iter()
-            .skip(1)
-            .all(|i| matches!(i, ProtectedItem::Meta { write: true, .. })));
+            .all(|s| is_meta(s) && matches!(s, Seen::Access { write: true, .. })));
+    }
+
+    /// A fixed list of trace items as a [`TraceSource`].
+    struct Items(std::vec::IntoIter<TraceItem>);
+
+    impl Iterator for Items {
+        type Item = TraceItem;
+        fn next(&mut self) -> Option<TraceItem> {
+            self.0.next()
+        }
+    }
+
+    impl TraceSource for Items {
+        fn buffer_bytes(&self) -> u64 {
+            0
+        }
+    }
+
+    #[test]
+    fn one_event_traces_touch_exactly_their_blocks() {
+        use guardnn_systolic::trace::{MemEvent, PassPerf};
+        use guardnn_systolic::Stream;
+        // `(addr, bytes, blocks)`: aligned and unaligned starts × lengths
+        // around one block; zero bytes touch nothing wherever they start.
+        let table: [(u64, u64, u64); 10] = [
+            (128, 0, 0),
+            (128, 1, 1),
+            (128, 63, 1),
+            (128, 64, 1),
+            (128, 65, 2),
+            (130, 0, 0),
+            (130, 1, 1),
+            (130, 63, 2),
+            (130, 64, 2),
+            (130, 65, 2),
+        ];
+        let cfg = DramConfig::ddr4_2400_16gb();
+        for (addr, bytes, blocks) in table {
+            let items = vec![
+                TraceItem::Event(MemEvent {
+                    addr,
+                    bytes,
+                    write: false,
+                    stream: Stream::FeatureRead,
+                    pass: 0,
+                }),
+                TraceItem::PassEnd {
+                    pass: 0,
+                    perf: PassPerf {
+                        compute_cycles: 0,
+                        dram_bytes: bytes,
+                    },
+                },
+            ];
+            let trace: PlanTrace = items.iter().copied().collect();
+            let materialized = run_protected(&trace, &mut NoProtection::new(), cfg, 700);
+            let mut sink = RecordingSink::default();
+            let streamed = run_protected_streaming_into(
+                Items(items.into_iter()),
+                &mut NoProtection::new(),
+                &mut sink,
+                cfg,
+                700,
+            );
+            for s in [&materialized, &streamed] {
+                assert_eq!(s.data_bytes, blocks * BLOCK_BYTES, "{addr} + {bytes}");
+                assert_eq!(s.dram.accesses(), blocks, "{addr} + {bytes}");
+            }
+            let accessed: Vec<u64> = sink
+                .seen
+                .iter()
+                .filter_map(|s| match s {
+                    Seen::Access { addr, .. } => Some(*addr),
+                    Seen::Drain => None,
+                })
+                .collect();
+            let expected: Vec<u64> = (2..2 + blocks).map(|b| b * BLOCK_BYTES).collect();
+            assert_eq!(accessed, expected, "{addr} + {bytes}");
+        }
     }
 }

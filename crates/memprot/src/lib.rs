@@ -97,6 +97,16 @@ pub(crate) fn exact_log2(what: &str, value: u64) -> u32 {
     value.trailing_zeros()
 }
 
+/// Blocks from `block_addr` through the end of its aligned
+/// `1 << shift`-byte region (at least 1): the part of a span one metadata
+/// line of that coverage still covers.
+pub(crate) fn blocks_to_boundary(block_addr: u64, shift: u32) -> u64 {
+    let mask = 1u64
+        .checked_shl(shift)
+        .map_or(u64::MAX, |region| region - 1);
+    (mask - (block_addr & mask)) / BLOCK_BYTES + 1
+}
+
 /// One metadata DRAM access generated by a protection engine.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MetaAccess {
@@ -108,10 +118,13 @@ pub struct MetaAccess {
 
 /// A memory-protection scheme's performance model.
 ///
-/// Engines receive every 64-byte data-block access the accelerator makes
-/// and append the metadata accesses the scheme adds. Engines with
-/// write-back caches emit the remaining dirty lines from
-/// [`ProtectionEngine::flush`].
+/// Engines see the accelerator's traffic as spans of consecutive 64-byte
+/// data blocks and append the metadata accesses the scheme adds. One
+/// [`ProtectionEngine::on_span`] call processes the span's first block
+/// and then every following block that provably adds no metadata traffic
+/// (the rest of a MAC line, say), so the caller pays one call per
+/// metadata line rather than per block. Engines with write-back caches
+/// emit the remaining dirty lines from [`ProtectionEngine::flush`].
 pub trait ProtectionEngine {
     /// Scheme name for reports (e.g. `"BP"`, `"GuardNN_CI"`).
     fn name(&self) -> &'static str;
@@ -124,16 +137,38 @@ pub trait ProtectionEngine {
     /// can advance their on-chip counters (`CTR_F,W` et al.).
     fn on_pass_begin(&mut self) {}
 
-    /// Processes one 64-byte data-block access, appending the metadata
-    /// accesses it adds to `out` (the caller reuses one buffer across
-    /// blocks).
+    /// Processes the span of `blocks` (at least 1) consecutive 64-byte
+    /// data blocks from `block_addr`, all written or all read, and returns
+    /// how many of them it covered, from 1 to `blocks`.
+    ///
+    /// The first block is processed exactly as a one-block access: the
+    /// metadata accesses it adds are appended to `out` (the caller reuses
+    /// one buffer across calls). The covered blocks after it are the ones
+    /// that add no metadata traffic at all; the engine's state (cache
+    /// stamps, hit counts) advances as if each had been accessed on its
+    /// own. The caller issues the first block, then `out`, then the rest
+    /// of the covered blocks, and calls again from the first block not
+    /// covered.
+    fn on_span(
+        &mut self,
+        block_addr: u64,
+        blocks: u64,
+        write: bool,
+        stream: StreamClass,
+        out: &mut Vec<MetaAccess>,
+    ) -> u64;
+
+    /// Processes one 64-byte data-block access — a one-block
+    /// [`ProtectionEngine::on_span`].
     fn on_access(
         &mut self,
         block_addr: u64,
         write: bool,
         stream: StreamClass,
         out: &mut Vec<MetaAccess>,
-    );
+    ) {
+        self.on_span(block_addr, 1, write, stream, out);
+    }
 
     /// Flushes dirty cached metadata at the end of a run.
     fn flush(&mut self) -> Vec<MetaAccess> {
@@ -289,5 +324,158 @@ mod engine_trait_tests {
                 );
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod span_tests {
+    use super::*;
+    use crate::baseline::{BaselineMee, MeeConfig};
+    use crate::guardnn::{GuardNnConfig, GuardNnEngine, Protection};
+    use crate::none::NoProtection;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
+    use std::fmt::Debug;
+
+    /// One access as the DRAM sees it: `(addr, write, is_metadata)`.
+    type Issued = (u64, bool, bool);
+
+    fn meta_issued(metas: &[MetaAccess]) -> impl Iterator<Item = Issued> + '_ {
+        metas.iter().map(|m| (m.addr, m.write, true))
+    }
+
+    /// Drives `events` (`(addr, bytes, write)`) through a copy of `engine`
+    /// span by span and through another copy block by block. The two must
+    /// issue the same data/metadata sequence, end in the same state (every
+    /// cache stamp, memo entry and access and miss count — hence miss
+    /// rate: the engines' `Debug` output) and flush the same write-backs.
+    /// `one_block` geometries must never cover more than one block per
+    /// span. Returns both copies.
+    fn spans_match_blocks<E: ProtectionEngine + Clone + Debug>(
+        engine: E,
+        events: &[(u64, u64, bool)],
+        one_block: bool,
+    ) -> Result<[E; 2], TestCaseError> {
+        let (mut by_span, mut by_block) = (engine.clone(), engine);
+        let (mut span_seq, mut block_seq) = (Vec::new(), Vec::new());
+        let mut metas = Vec::new();
+        for &(addr, bytes, write) in events {
+            let stream = if write {
+                StreamClass::FeatureWrite
+            } else {
+                StreamClass::FeatureRead
+            };
+            let blocks = guardnn_dram::block_range(addr, bytes, BLOCK_BYTES);
+            let mut block = blocks.start;
+            while block < blocks.end {
+                metas.clear();
+                let covered = by_span.on_span(
+                    block * BLOCK_BYTES,
+                    blocks.end - block,
+                    write,
+                    stream,
+                    &mut metas,
+                );
+                prop_assert!((1..=blocks.end - block).contains(&covered));
+                prop_assert!(!one_block || covered == 1, "{covered} blocks covered");
+                span_seq.push((block * BLOCK_BYTES, write, false));
+                span_seq.extend(meta_issued(&metas));
+                span_seq
+                    .extend((block + 1..block + covered).map(|b| (b * BLOCK_BYTES, write, false)));
+                block += covered;
+            }
+            for block in blocks {
+                metas.clear();
+                by_block.on_access(block * BLOCK_BYTES, write, stream, &mut metas);
+                block_seq.push((block * BLOCK_BYTES, write, false));
+                block_seq.extend(meta_issued(&metas));
+            }
+        }
+        prop_assert_eq!(span_seq, block_seq);
+        prop_assert_eq!(format!("{by_span:?}"), format!("{by_block:?}"));
+        prop_assert_eq!(by_span.flush(), by_block.flush());
+        Ok([by_span, by_block])
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random event lists over a 64 KiB window of a 1 MiB footprint:
+        /// unaligned starts, lengths of 0–4200 bytes (so spans cross VN and
+        /// MAC line boundaries), mixed reads and writes, MAC chunks of
+        /// 64–4096 B, and metadata caches down to one set of one way, where
+        /// tree walks and MAC fills evict the VN line mid-span.
+        #[test]
+        fn spans_match_per_block_access(
+            words in prop::collection::vec(any::<u64>(), 1..40),
+            bp_cache in prop::sample::select(vec![
+                (64u64, 1usize), (128, 1), (128, 2), (256, 2), (64 << 10, 8),
+            ]),
+            bp_line_blocks in prop::sample::select(vec![(8u64, 8u64), (1, 8), (8, 1), (4, 16)]),
+            mac_chunk in prop::sample::select(vec![64u64, 128, 512, 1024, 4096]),
+            mac_cache in prop::sample::select(vec![256u64, 512, 4 << 10]),
+        ) {
+            let events: Vec<(u64, u64, bool)> = words
+                .iter()
+                .map(|&w| (w % (64 << 10), (w >> 16) % 4200, w >> 32 & 1 == 1))
+                .collect();
+            let footprint = 1 << 20;
+            spans_match_blocks(NoProtection::new(), &events, false)?;
+            spans_match_blocks(GuardNnEngine::confidentiality_only(footprint), &events, false)?;
+            let (cache_bytes, cache_ways) = bp_cache;
+            let (vn, mac) = bp_line_blocks;
+            let bp = MeeConfig {
+                cache_bytes,
+                cache_ways,
+                blocks_per_vn_line: vn,
+                blocks_per_mac_line: mac,
+                ..MeeConfig::default()
+            };
+            let [s, b] =
+                spans_match_blocks(BaselineMee::new(footprint, bp), &events, vn == 1 || mac == 1)?;
+            prop_assert_eq!(s.cache_miss_rate().to_bits(), b.cache_miss_rate().to_bits());
+            for (chunk, entry) in [(mac_chunk, 8), (1, 64)] {
+                let ci = GuardNnConfig {
+                    protection: Protection::ConfidentialityIntegrity,
+                    mac_chunk_bytes: chunk,
+                    mac_entry_bytes: entry,
+                    mac_cache_bytes: mac_cache,
+                };
+                spans_match_blocks(GuardNnEngine::new(footprint, ci), &events, chunk == 1)?;
+            }
+        }
+    }
+
+    /// BP on a 4 KiB footprint (a one-level tree) with one 2-way set: a
+    /// cold read fills the VN line, then the tree node, and the MAC fill
+    /// evicts the least recently used line — the VN line. The span must
+    /// stop at the first block, because the next block misses it again.
+    #[test]
+    fn bp_span_stops_when_the_mac_fill_evicts_the_vn_line() {
+        let cfg = MeeConfig {
+            cache_bytes: 128,
+            cache_ways: 2,
+            ..MeeConfig::default()
+        };
+        let mut bp = BaselineMee::new(4096, cfg);
+        assert_eq!(bp.tree_depth(), 1);
+        let mut metas = Vec::new();
+        let covered = bp.on_span(0, 8, false, StreamClass::FeatureRead, &mut metas);
+        assert_eq!(covered, 1);
+        assert_eq!(metas.len(), 3, "VN, tree node and MAC fills: {metas:?}");
+        metas.clear();
+        bp.on_access(BLOCK_BYTES, false, StreamClass::FeatureRead, &mut metas);
+        assert!(!metas.is_empty(), "the second block refetches the VN line");
+        // With room for all three lines the same span is covered whole.
+        let mut roomy = BaselineMee::new(
+            4096,
+            MeeConfig {
+                cache_ways: 4,
+                cache_bytes: 256,
+                ..cfg
+            },
+        );
+        let covered = roomy.on_span(0, 8, false, StreamClass::FeatureRead, &mut Vec::new());
+        assert_eq!(covered, 8);
     }
 }

@@ -23,13 +23,15 @@ impl ProtectionEngine for NoProtection {
         false
     }
 
-    fn on_access(
+    fn on_span(
         &mut self,
         _block_addr: u64,
+        blocks: u64,
         _write: bool,
         _stream: StreamClass,
         _out: &mut Vec<MetaAccess>,
-    ) {
+    ) -> u64 {
+        blocks
     }
 }
 

@@ -9,7 +9,7 @@
 
 use crate::config::ArrayConfig;
 use crate::engine::simulate_gemm;
-use crate::stream::Segment;
+use crate::stream::{Segment, TraceItem};
 use crate::traffic::gemm_traffic;
 use guardnn_models::graph::{ExecutionPlan, Pass, PassKind};
 use guardnn_models::Op;
@@ -95,6 +95,22 @@ impl PlanTrace {
     pub fn buffer_bytes(&self) -> u64 {
         (self.events.capacity() * std::mem::size_of::<MemEvent>()
             + self.passes.capacity() * std::mem::size_of::<PassPerf>()) as u64
+    }
+}
+
+/// Collects a stream of trace items (events, then each pass's end in
+/// order) into its materialized form.
+impl FromIterator<TraceItem> for PlanTrace {
+    fn from_iter<T: IntoIterator<Item = TraceItem>>(items: T) -> Self {
+        let mut events = Vec::new();
+        let mut passes = Vec::new();
+        for item in items {
+            match item {
+                TraceItem::Event(e) => events.push(e),
+                TraceItem::PassEnd { perf, .. } => passes.push(perf),
+            }
+        }
+        Self { events, passes }
     }
 }
 
@@ -187,15 +203,7 @@ impl TraceBuilder {
     /// [`TraceBuilder::stream`] — the materialized form is kept as the
     /// differential oracle for the streaming pipeline.
     pub fn build(&self, plan: &ExecutionPlan) -> PlanTrace {
-        let mut events = Vec::new();
-        let mut passes = Vec::with_capacity(plan.passes().len());
-        for item in self.stream(plan) {
-            match item {
-                crate::stream::TraceItem::Event(e) => events.push(e),
-                crate::stream::TraceItem::PassEnd { perf, .. } => passes.push(perf),
-            }
-        }
-        PlanTrace { events, passes }
+        self.stream(plan).collect()
     }
 
     /// Expands one pass into its segment descriptors (the lazily-emitted
