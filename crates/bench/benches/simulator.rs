@@ -24,6 +24,23 @@ fn bench_dram(c: &mut Criterion) {
             black_box(sys.finish())
         })
     });
+    g.bench_function("stream_with_conflicts_1MiB", |b| {
+        // A sequential stream with every 8th access sent to a far region,
+        // the shape of BP's interleaved metadata traffic: the channel
+        // scheduler keeps leaving and re-entering its all-hit state.
+        b.iter(|| {
+            let mut sys = DramSystem::new(DramConfig::ddr4_2400_16gb());
+            for i in 0..blocks {
+                let addr = if i % 8 == 7 {
+                    (1 << 33) + i * 8
+                } else {
+                    i * 64
+                };
+                sys.access(addr, false);
+            }
+            black_box(sys.finish())
+        })
+    });
     g.bench_function("scatter_1MiB", |b| {
         b.iter(|| {
             let mut sys = DramSystem::new(DramConfig::ddr4_2400_16gb());

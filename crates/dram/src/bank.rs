@@ -39,6 +39,13 @@ impl Bank {
         self.open_row
     }
 
+    /// The cycle at which the open row accepts a column command (its
+    /// activate plus tRCD).
+    #[inline]
+    pub fn ready_at(&self) -> u64 {
+        self.ready_at
+    }
+
     /// Performs the row-management part of a column access that *issues* at
     /// `now`: returns the outcome and the cycle at which a column command
     /// may be driven to this bank.

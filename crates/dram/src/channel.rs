@@ -1,24 +1,37 @@
 //! Per-channel command scheduling with an FR-FCFS reordering window.
 //!
-//! The window lives in a slab of `sched_window + 1` request slots, each on
-//! two intrusive lists: its bank's per-row queue (singly linked in arrival
-//! order, headed by a small per-bank row index) and the channel-wide
-//! arrival list (doubly linked, so a request picked out of FCFS order
-//! unlinks in O(1)). The arrival head is always the oldest live request;
-//! nothing goes stale and nothing is allocated after construction.
+//! The window lives in a slab of `sched_window + 1` request slots linked
+//! in arrival order on a doubly linked list, so a request picked out of
+//! FCFS order unlinks in O(1). The arrival head is always the oldest live
+//! request; nothing goes stale and nothing is allocated after
+//! construction. The scheduler runs in one of two states, told apart by
+//! the count of pending row queues that mismatch their bank's open row:
 //!
-//! Beside the lists the scheduler maintains, incrementally, the per-bank
-//! count of pending rows that mismatch the bank's open row and the
-//! per-bank front seq of the open row's queue (the hit index). The oldest
-//! request then decides most picks: if it is a row hit it *is* the oldest
-//! hit — in the common streaming case, where every pending request hits,
-//! that is the whole pick; if it is a non-hit it is the background
-//! preparation candidate, and a successful activation makes it the pick.
-//! Only a victim-blocked preparation takes the minimum over the hit index,
-//! whose entries pack `(front_seq << bank_bits) | bank` so that a plain
-//! `min` over one flat array yields both the oldest hit and its bank —
-//! instead of the three O(window) scans plus O(window) removal a flat
-//! queue needs per issued command.
+//! * **All hits** (`mismatched_total == 0`): every queued request hits its
+//!   bank's open row, so the FR-FCFS pick is the arrival head and there is
+//!   no background preparation to do. The window is the arrival list
+//!   alone — a push links one slot, a pick unlinks the head — and the row
+//!   index below is empty. Long streaming sweeps spend almost every issue
+//!   here.
+//! * **Indexed**: a push that misses its bank's open row, or a refresh
+//!   that closes the banks, builds the row index from the arrival list (at
+//!   most `sched_window` entries). Each slot then also sits on its bank's
+//!   per-row queue (singly linked in arrival order, headed by a small
+//!   per-bank row index), and the scheduler maintains the per-bank count
+//!   of mismatching rows and the per-bank front seq of the open row's
+//!   queue (the hit index). The oldest request decides most picks: if it
+//!   is a row hit it *is* the oldest hit; if it is a non-hit it is the
+//!   background preparation candidate, and a successful activation makes
+//!   it the pick. Only a victim-blocked preparation takes the minimum over
+//!   the hit index, whose entries pack `(front_seq << bank_bits) | bank`
+//!   so that a plain `min` over one flat array yields both the oldest hit
+//!   and its bank. Once background preparation activates the last
+//!   mismatching row, the index is dropped again.
+//!
+//! Either way every pick is a row hit: activations happen only in
+//! background preparation, so issuing a request is one column command,
+//! gated by the bank's row-ready cycle, tCCD_L/tCCD_S, the data bus and
+//! read/write turnaround.
 
 use crate::bank::{Bank, RowOutcome};
 use crate::config::DramConfig;
@@ -47,7 +60,8 @@ pub struct Request {
 }
 
 /// One slab slot: a queued request and its intrusive list links. Free
-/// slots are chained through `next_in_row`.
+/// slots are chained through `next_in_row`, which is meaningful for a live
+/// slot only while the row index is built.
 #[derive(Clone, Copy, Debug, Default)]
 struct Slot {
     /// Global arrival sequence number (FCFS tiebreak).
@@ -81,8 +95,9 @@ struct RowQueue {
 pub struct Channel {
     cfg: DramConfig,
     banks: Vec<Bank>,
-    /// Per-bank row queues. A realistic window holds a handful of rows per
-    /// bank, so the row list is a plain vector scanned linearly.
+    /// Per-bank row queues, empty in the all-hit state. A realistic window
+    /// holds a handful of rows per bank, so the row list is a plain vector
+    /// scanned linearly.
     pending: Vec<Vec<RowQueue>>,
     /// The window's request slots (`sched_window + 1`: a push may overfill
     /// the window by one before it issues).
@@ -97,7 +112,8 @@ pub struct Channel {
     /// Next arrival sequence number.
     next_seq: u64,
     /// Per-bank count of row queues whose row is not the bank's open row —
-    /// the requests background row preparation could work on.
+    /// the requests background row preparation could work on (all zero in
+    /// the all-hit state).
     mismatched: Vec<usize>,
     /// Per-bank key `(front_seq << bank_bits) | bank` of the row queue
     /// matching the bank's open row ([`NO_HIT`] when none): the dense hit
@@ -106,25 +122,29 @@ pub struct Channel {
     /// included — the victim-blocked FR-FCFS pick is one `min` over this
     /// array instead of a rescan of every row queue, and `try_prepare`'s
     /// victim check is a single compare. Padded with [`NO_HIT`] to a
-    /// multiple of 8 entries for the pick's fixed-width chunks.
+    /// multiple of 8 entries for the pick's fixed-width chunks; all
+    /// [`NO_HIT`] in the all-hit state.
     hit_front: Vec<u64>,
     /// Bits holding the bank index in a `hit_front` key.
     bank_bits: u32,
-    /// Sum of `mismatched` across banks; zero means every pending request
-    /// is a row hit and the pick skips background preparation.
+    /// Sum of `mismatched` across banks. Zero is the all-hit state: every
+    /// pending request is a row hit, the row index is not maintained and
+    /// the pick is the arrival head.
     mismatched_total: usize,
     /// Cached oldest pending non-hit for background preparation:
-    /// `None` = stale (recompute), `Some(x)` = known answer.
+    /// `None` = stale (recompute), `Some(x)` = known answer. Unused in the
+    /// all-hit state.
     mis_cache: Option<Option<(u64, usize, u64)>>,
     /// Current scheduling time (cycle of the last issued column command).
     now: u64,
     /// Cycle at which the data bus becomes free.
     bus_free: u64,
-    /// Last column command cycle, per bank group (tCCD_L), `None` until a
-    /// group has issued its first column command.
-    last_col: Vec<Option<u64>>,
-    /// Last column command cycle in any group (tCCD_S).
-    last_col_any: Option<u64>,
+    /// Earliest cycle of the next column command per bank group: the
+    /// group's last column command plus tCCD_L (0 before its first).
+    ccd_l_gate: Vec<u64>,
+    /// Earliest cycle of the next column command in any group: the last
+    /// column command plus tCCD_S (0 before the first).
+    ccd_s_gate: u64,
     /// Whether the previous burst was a write (turnaround penalties).
     last_was_write: bool,
     /// Cycle the most recent write burst left the data bus (tWTR counts
@@ -213,7 +233,7 @@ impl Channel {
         let mismatched = vec![0; cfg.banks_per_channel()];
         let hit_front = vec![NO_HIT; cfg.banks_per_channel().next_multiple_of(8)];
         let bank_bits = usize::BITS - cfg.banks_per_channel().saturating_sub(1).leading_zeros();
-        let last_col = vec![None; cfg.bank_groups];
+        let ccd_l_gate = vec![0; cfg.bank_groups];
         let slots = (1..=cfg.sched_window + 1)
             .map(|next_free| Slot {
                 next_in_row: if next_free > cfg.sched_window {
@@ -242,8 +262,8 @@ impl Channel {
             mis_cache: Some(None),
             now: 0,
             bus_free: 0,
-            last_col,
-            last_col_any: None,
+            ccd_l_gate,
+            ccd_s_gate: 0,
             last_was_write: false,
             last_write_end: 0,
             recent_acts: VecDeque::new(),
@@ -275,32 +295,12 @@ impl Channel {
             newest => self.slots[newest].next = slot,
         }
         self.newest = slot;
-        let rows = &mut self.pending[req.bank];
-        if let Some(rq) = rows.iter_mut().find(|rq| rq.row == req.row) {
-            self.slots[rq.tail].next_in_row = slot;
-            rq.tail = slot;
-        } else {
-            rows.push(RowQueue {
-                row: req.row,
-                head: slot,
-                tail: slot,
-                front_seq: seq,
-            });
-            if self.banks[req.bank].open_row() != Some(req.row) {
-                self.mismatched[req.bank] += 1;
-                self.mismatched_total += 1;
-                // A new queue carries the youngest seq, so it only fills an
-                // empty (but valid) preparation cache.
-                if let Some(cached @ None) = &mut self.mis_cache {
-                    *cached = Some((seq, req.bank, req.row));
-                }
-            } else {
-                // At most one queue per row, so this bank had no hit queue
-                // before: the new queue's front is its hit front.
-                self.hit_front[req.bank] = self.hit_key(seq, req.bank);
-            }
-        }
         self.queued += 1;
+        if self.mismatched_total > 0 {
+            self.index_slot(slot);
+        } else if self.banks[req.bank].open_row() != Some(req.row) {
+            self.build_index();
+        }
         while self.queued > self.cfg.sched_window {
             self.issue_one();
         }
@@ -328,15 +328,69 @@ impl Channel {
         seq << self.bank_bits | bank as u64
     }
 
-    /// Removes and returns the front request of `(bank, row)`, maintaining
-    /// the live count, the mismatch index and the arrival list.
+    /// Files `slot`, the youngest request indexed so far, at the tail of
+    /// its bank's row queue, maintaining the mismatch counts and the hit
+    /// index.
     #[inline]
-    fn pop_pending(&mut self, bank: usize, row: u64) -> Request {
-        if let Some(Some((_, b, r))) = self.mis_cache {
-            if b == bank && r == row {
-                self.mis_cache = None;
+    fn index_slot(&mut self, slot: usize) {
+        let Slot { seq, bank, row, .. } = self.slots[slot];
+        let rows = &mut self.pending[bank];
+        if let Some(rq) = rows.iter_mut().find(|rq| rq.row == row) {
+            self.slots[rq.tail].next_in_row = slot;
+            rq.tail = slot;
+        } else {
+            rows.push(RowQueue {
+                row,
+                head: slot,
+                tail: slot,
+                front_seq: seq,
+            });
+            if self.banks[bank].open_row() != Some(row) {
+                self.mismatched[bank] += 1;
+                self.mismatched_total += 1;
+                // A new queue carries the youngest seq, so it only fills an
+                // empty (but valid) preparation cache.
+                if let Some(cached @ None) = &mut self.mis_cache {
+                    *cached = Some((seq, bank, row));
+                }
+            } else {
+                // At most one queue per row, so this bank had no hit queue
+                // before: the new queue's front is its hit front.
+                self.hit_front[bank] = self.hit_key(seq, bank);
             }
         }
+    }
+
+    /// Leaves the all-hit state: files every queued request under the row
+    /// index, oldest first. The walk visits at most `sched_window + 1`
+    /// slots and leaves the preparation cache valid.
+    fn build_index(&mut self) {
+        self.mis_cache = Some(None);
+        let mut slot = self.oldest;
+        while slot != NIL {
+            // Start each rebuilt row queue from clean links, whatever the
+            // slot linked before the last drop.
+            self.slots[slot].next_in_row = NIL;
+            self.index_slot(slot);
+            slot = self.slots[slot].next;
+        }
+    }
+
+    /// Returns to the all-hit state once no pending row mismatches its
+    /// bank's open row: the row queues and the hit index are emptied.
+    fn drop_index(&mut self) {
+        debug_assert_eq!(self.mismatched_total, 0);
+        for rows in &mut self.pending {
+            rows.clear();
+        }
+        self.hit_front.fill(NO_HIT);
+    }
+
+    /// Unfiles the front request of `bank`'s queue for its open `row` and
+    /// returns its slot, maintaining the hit index. Every pick is a row
+    /// hit, so the mismatch counts never change here.
+    #[inline]
+    fn pop_row_front(&mut self, bank: usize, row: u64) -> usize {
         let rows = &mut self.pending[bank];
         let idx = rows
             .iter()
@@ -344,24 +398,24 @@ impl Channel {
             // lint:allow(panic-discipline) — callers pass (bank, row) taken from the pending index
             .expect("pending row present");
         let slot = rows[idx].head;
-        let s = self.slots[slot];
-        let is_hit_queue = self.banks[bank].open_row() == Some(row);
-        if s.next_in_row == NIL {
+        let next = self.slots[slot].next_in_row;
+        if next == NIL {
             rows.swap_remove(idx);
-            if is_hit_queue {
-                self.hit_front[bank] = NO_HIT;
-            } else {
-                self.mismatched[bank] -= 1;
-                self.mismatched_total -= 1;
-            }
+            self.hit_front[bank] = NO_HIT;
         } else {
-            let next_seq = self.slots[s.next_in_row].seq;
-            rows[idx].head = s.next_in_row;
+            let next_seq = self.slots[next].seq;
+            rows[idx].head = next;
             rows[idx].front_seq = next_seq;
-            if is_hit_queue {
-                self.hit_front[bank] = self.hit_key(next_seq, bank);
-            }
+            self.hit_front[bank] = self.hit_key(next_seq, bank);
         }
+        slot
+    }
+
+    /// Removes `slot` from the arrival list, frees it and returns its
+    /// request.
+    #[inline]
+    fn unlink(&mut self, slot: usize) -> Request {
+        let s = self.slots[slot];
         match s.prev {
             NIL => self.oldest = s.next,
             prev => self.slots[prev].next = s.next,
@@ -374,9 +428,9 @@ impl Channel {
         self.free = slot;
         self.queued -= 1;
         Request {
-            bank,
+            bank: s.bank,
             bank_group: s.bank_group,
-            row,
+            row: s.row,
             is_write: s.is_write,
         }
     }
@@ -421,8 +475,8 @@ impl Channel {
 
     /// Recomputes (or returns the cached) oldest pending non-hit — the
     /// background row-preparation candidate. The cache is invalidated by
-    /// open-row changes and by pops of the cached queue; pushes only ever
-    /// append younger requests, so they cannot displace a valid minimum.
+    /// open-row changes; pushes only ever append younger requests, so they
+    /// cannot displace a valid minimum, and pops only take row hits.
     fn oldest_mismatched(&mut self) -> Option<(u64, usize, u64)> {
         if let Some(cached) = self.mis_cache {
             return cached;
@@ -463,50 +517,68 @@ impl Channel {
         true
     }
 
-    /// Background row preparation, then the FR-FCFS pick — oldest row hit
-    /// first, else the oldest request.
+    /// The FR-FCFS pick — oldest row hit first, else the oldest request —
+    /// after background row preparation. In the all-hit state the arrival
+    /// head is the oldest hit and there is nothing to prepare.
+    #[inline]
+    fn pick(&mut self) -> Request {
+        let slot = if self.mismatched_total == 0 {
+            self.oldest
+        } else {
+            self.pick_indexed()
+        };
+        self.unlink(slot)
+    }
+
+    /// The indexed pick: background preparation, then the slot of the
+    /// oldest row hit, unfiled from the row index.
     ///
     /// The oldest live request (the arrival head) collapses most of the
     /// work: if it is a hit, it *is* the oldest hit, and preparation works
-    /// on the cached oldest non-hit (there is none in the streaming common
-    /// case, where every pending request hits); if it is a non-hit, it *is*
-    /// the preparation candidate, and a successful activation turns it into
+    /// on the cached oldest non-hit; if it is a non-hit, it *is* the
+    /// preparation candidate, and a successful activation turns it into
     /// the pick. Only a victim-blocked preparation needs a scan over the
     /// open-row index to find the oldest hit.
-    #[inline]
-    fn pick(&mut self) -> Request {
+    fn pick_indexed(&mut self) -> usize {
         let front = self.slots[self.oldest];
-        if self.banks[front.bank].open_row() == Some(front.row) {
-            if self.mismatched_total > 0 {
-                if let Some((_, bank, row)) = self.oldest_mismatched() {
-                    self.try_prepare(bank, row);
-                }
+        let (bank, row) = if self.banks[front.bank].open_row() == Some(front.row) {
+            if let Some((_, bank, row)) = self.oldest_mismatched() {
+                self.try_prepare(bank, row);
             }
-            return self.pop_pending(front.bank, front.row);
+            (front.bank, front.row)
+        } else if self.try_prepare(front.bank, front.row) {
+            // The oldest request was the oldest non-hit: its row is now
+            // open, so it is the oldest hit.
+            (front.bank, front.row)
+        } else {
+            // Preparation refused to close the victim row, so its pending
+            // hits exist; the oldest hit anywhere goes first. Its packed
+            // key is the min of the dense hit index, and the key's low bits
+            // name its bank — no rescan of the row queues and no argmin
+            // (this branch takes about half of all issues on
+            // conflict-heavy BP workloads). The min runs over fixed 8-wide
+            // chunks: without 64-bit vector min instructions (baseline
+            // x86-64), a min over a runtime-length slice compiles to one
+            // long emulated-compare chain that took 2.5× as long as the
+            // old argmin for 32 banks.
+            let oldest_hit = self.hit_front.chunks_exact(8).fold(NO_HIT, |m, chunk| {
+                m.min(chunk.iter().copied().fold(NO_HIT, u64::min))
+            });
+            let bank = (oldest_hit & ((1 << self.bank_bits) - 1)) as usize;
+            let row = self.banks[bank]
+                .open_row()
+                // lint:allow(panic-discipline) — hit_front is set only while the bank row is open
+                .expect("hit front implies open row");
+            (bank, row)
+        };
+        if self.mismatched_total == 0 {
+            // Preparation opened the last mismatching row: every request
+            // now hits, so the arrival head (the front picked above) is the
+            // oldest hit and the index goes.
+            self.drop_index();
+            return self.oldest;
         }
-        // The oldest request is the oldest non-hit: prepare its row, and
-        // on success it becomes the oldest hit — the pick.
-        if self.try_prepare(front.bank, front.row) {
-            return self.pop_pending(front.bank, front.row);
-        }
-        // Preparation refused to close the victim row, so its pending hits
-        // exist; the oldest hit anywhere goes first. Its packed key is the
-        // min of the dense hit index, and the key's low bits name its bank
-        // — no rescan of the row queues and no argmin (this branch takes
-        // about half of all issues on conflict-heavy BP workloads). The
-        // min runs over fixed 8-wide chunks: without 64-bit vector min
-        // instructions (baseline x86-64), a min over a runtime-length
-        // slice compiles to one long emulated-compare chain that took
-        // 2.5× as long as the old argmin for 32 banks.
-        let oldest_hit = self.hit_front.chunks_exact(8).fold(NO_HIT, |m, chunk| {
-            m.min(chunk.iter().copied().fold(NO_HIT, u64::min))
-        });
-        let bank = (oldest_hit & ((1 << self.bank_bits) - 1)) as usize;
-        let row = self.banks[bank]
-            .open_row()
-            // lint:allow(panic-discipline) — hit_front is set only while the bank row is open
-            .expect("hit front implies open row");
-        self.pop_pending(bank, row)
+        self.pop_row_front(bank, row)
     }
 
     #[inline]
@@ -514,30 +586,23 @@ impl Channel {
         self.maybe_refresh();
         let req = self.pick();
         let t = self.cfg.timing;
+        let bank = &self.banks[req.bank];
+        debug_assert_eq!(bank.open_row(), Some(req.row), "every pick is a row hit");
 
-        // Row management; activates are gated by the tFAW window.
-        let needs_act = self.banks[req.bank].open_row() != Some(req.row);
-        let act_gate = if needs_act { self.faw_gate() } else { 0 };
-        let issue_from = self.now.max(act_gate);
-        let (outcome, row_ready) = self.banks[req.bank].access_row(req.row, issue_from, &t);
-        if needs_act {
-            self.note_activate(req.bank);
-        }
-
-        // Column command: after row ready, tCCD_L since the last column in
-        // the same group, tCCD_S since the last column in any group, and
-        // bus turnaround. Write-to-read turnaround counts from the end of
-        // the preceding write burst (DDR4 tWTR), not from its command.
-        let ccd_l_gate = self.last_col[req.bank_group].map_or(0, |c| c + t.ccd_l);
-        let ccd_s_gate = self.last_col_any.map_or(0, |c| c + t.ccd_s);
+        // Column command: after the row is ready, tCCD_L since the last
+        // column in the same group, tCCD_S since the last column in any
+        // group, and bus turnaround. Write-to-read turnaround counts from
+        // the end of the preceding write burst (DDR4 tWTR), not from its
+        // command.
         let turnaround_gate = match (self.last_was_write, req.is_write) {
             (true, false) => self.last_write_end + t.wtr,
             (false, true) => self.now + t.rtw,
             _ => 0,
         };
-        let mut cmd_at = row_ready
-            .max(ccd_l_gate)
-            .max(ccd_s_gate)
+        let mut cmd_at = bank
+            .ready_at()
+            .max(self.ccd_l_gate[req.bank_group])
+            .max(self.ccd_s_gate)
             .max(turnaround_gate)
             .max(self.now);
         // Data must find the bus free; CAS latency separates command from data.
@@ -545,8 +610,8 @@ impl Channel {
         cmd_at = data_start - t.cl;
         let data_end = data_start + t.burst_cycles();
 
-        self.last_col[req.bank_group] = Some(cmd_at);
-        self.last_col_any = Some(cmd_at);
+        self.ccd_l_gate[req.bank_group] = cmd_at + t.ccd_l;
+        self.ccd_s_gate = cmd_at + t.ccd_s;
         self.bus_free = data_end;
         self.now = cmd_at;
         self.last_was_write = req.is_write;
@@ -557,11 +622,7 @@ impl Channel {
         } else {
             self.stats.reads += 1;
         }
-        match outcome {
-            RowOutcome::Hit => self.stats.row_hits += 1,
-            RowOutcome::Miss => self.stats.row_misses += 1,
-            RowOutcome::Conflict => self.stats.row_conflicts += 1,
-        }
+        self.stats.row_hits += 1;
         self.stats.total_cycles = self.stats.total_cycles.max(data_end);
         if let Some(obs) = &mut self.obs {
             obs.sample_left -= 1;
@@ -578,7 +639,6 @@ impl Channel {
             return;
         }
         let t = self.cfg.timing;
-        let mut fired = false;
         while self.now >= self.next_refresh {
             for bank in &mut self.banks {
                 bank.close();
@@ -588,9 +648,11 @@ impl Channel {
             self.bus_free = self.bus_free.max(self.now);
             self.next_refresh += t.refi;
             self.stats.refreshes += 1;
-            fired = true;
         }
-        if fired {
+        // Every queued request (there is at least one) now misses.
+        if self.mismatched_total == 0 {
+            self.build_index();
+        } else {
             for bank in 0..self.banks.len() {
                 self.note_row_change(bank);
             }
@@ -885,6 +947,73 @@ mod tests {
             }
             assert_eq!(fast.drain(), flat.drain(), "{cfg:?} seed {seed}");
         }
+    }
+
+    #[test]
+    fn lazy_index_transitions_match_flat_reference() {
+        // The all-hit state keeps no row index: a conflicting push or a
+        // refresh builds it from the arrival list, and activating the last
+        // mismatching row drops it again. Long same-row runs broken by one
+        // conflicting request every N pushes cross those transitions at
+        // every phase of the window (N around the production window of 64
+        // included); a short tREFI fires refreshes inside index-free
+        // stretches; drains at seeded random points restart the window
+        // mid-pattern.
+        for cfg in differential_cfgs() {
+            let short_refi = DramConfig {
+                timing: DdrTiming {
+                    refi: cfg.timing.rfc + 600,
+                    ..cfg.timing
+                },
+                ..cfg
+            };
+            for cfg in [cfg, short_refi] {
+                for every in [1, 7, 63, 64, 65, 500] {
+                    transitions_match_flat(cfg, every);
+                }
+            }
+        }
+    }
+
+    fn transitions_match_flat(cfg: DramConfig, every: u64) {
+        let banks = cfg.banks_per_channel() as u64;
+        let mut state = every.wrapping_mul(0x2545_F491_4F6C_DD1D) + cfg.timing.refi;
+        let mut fast = Channel::new(cfg);
+        let mut flat = FlatChannel::new(cfg);
+        for i in 0..3000u64 {
+            let r = splitmix(&mut state);
+            // A sequential sweep: 16 blocks per bank in turn, each bank's
+            // row advancing every 8 rounds of the banks.
+            let bank = (i / 16) % banks;
+            let row = i / (16 * banks * 8);
+            let req = if i % every == every - 1 {
+                // One request to a far region of the sweep's current bank:
+                // a row conflict among hits.
+                Request {
+                    bank: bank as usize,
+                    bank_group: bank as usize % cfg.bank_groups,
+                    row: row + 1000 + r % 3,
+                    is_write: r.is_multiple_of(2),
+                }
+            } else {
+                Request {
+                    bank: bank as usize,
+                    bank_group: bank as usize % cfg.bank_groups,
+                    row,
+                    is_write: r.is_multiple_of(9),
+                }
+            };
+            fast.push(req);
+            flat.push(req);
+            if (r >> 32).is_multiple_of(400) {
+                assert_eq!(
+                    fast.drain(),
+                    flat.drain(),
+                    "{cfg:?} every {every}, step {i}"
+                );
+            }
+        }
+        assert_eq!(fast.drain(), flat.drain(), "{cfg:?} every {every}");
     }
 
     fn stream(channel: &mut Channel, n: u64, same_row: bool) -> DramStats {

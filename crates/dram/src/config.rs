@@ -39,7 +39,9 @@ pub struct DdrTiming {
     pub ccd_l: u64,
     /// Column-to-column delay, different bank group.
     pub ccd_s: u64,
-    /// ACT-to-ACT delay to different banks, same bank group pair window.
+    /// ACT-to-ACT delay to different banks (tRRD). Carried for the
+    /// record but not yet modelled: no scheduler reads it, so back-to-back
+    /// activates are limited only by tFAW.
     pub rrd: u64,
     /// Four-activate window.
     pub faw: u64,

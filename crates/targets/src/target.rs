@@ -20,7 +20,9 @@ pub struct TimingSpec {
     pub ccd_l: u64,
     /// Column-to-column delay, different bank group.
     pub ccd_s: u64,
-    /// ACT-to-ACT delay to different banks.
+    /// ACT-to-ACT delay to different banks (tRRD). Parsed and carried
+    /// into the DRAM timing set, but the scheduler does not yet enforce
+    /// it.
     pub rrd: u64,
     /// Four-activate window.
     pub faw: u64,
